@@ -2,10 +2,11 @@
 
 Columns are fixed by the space's parameter order:
 
-    trial_index, generator, <param names...>, objective, sem, status, elapsed_ms
+    trial_index, generator, <param names...>, objective, sem, status
 
 Reals are rendered with 17 significant digits so float64 values round-trip
-losslessly.  FAILED trials have empty objective and sem cells.
+losslessly.  FAILED trials have empty objective and sem cells.  Nothing
+wall-clock is logged, so the file is a function of the run's config and seed.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ class TrialLogRecord:
     objective: float | None
     sem: float | None
     status: str
-    elapsed_ms: int
 
 
 def _format_value(v) -> str:
@@ -53,7 +53,6 @@ def records_from_experiment(experiment: Experiment) -> list[TrialLogRecord]:
                 objective=None if t.observation is None else t.observation.objective,
                 sem=None if t.observation is None else t.observation.sem,
                 status=t.status.value,
-                elapsed_ms=t.elapsed_ms,
             )
         )
     return records
@@ -66,7 +65,7 @@ def write_trial_log(experiment: Experiment, path) -> None:
     try:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["trial_index", "generator", *names, "objective", "sem", "status", "elapsed_ms"])
+            writer.writerow(["trial_index", "generator", *names, "objective", "sem", "status"])
             for r in records_from_experiment(experiment):
                 writer.writerow(
                     [
@@ -76,7 +75,6 @@ def write_trial_log(experiment: Experiment, path) -> None:
                         _format_real(r.objective),
                         _format_real(r.sem),
                         r.status,
-                        r.elapsed_ms,
                     ]
                 )
     except OSError as exc:
@@ -121,14 +119,9 @@ def read_trial_log(path, space: SearchSpace | None = None) -> list[TrialLogRecor
     if not rows:
         raise UsageError(f"trial log {path} is empty (missing header)")
     header = rows[0]
-    if header[:2] != ["trial_index", "generator"] or header[-4:] != [
-        "objective",
-        "sem",
-        "status",
-        "elapsed_ms",
-    ]:
+    if header[:2] != ["trial_index", "generator"] or header[-3:] != ["objective", "sem", "status"]:
         raise UsageError(f"trial log {path} has an unexpected header: {header}")
-    names = header[2:-4]
+    names = header[2:-3]
     records = []
     for row in rows[1:]:
         if not row:
@@ -137,7 +130,7 @@ def read_trial_log(path, space: SearchSpace | None = None) -> list[TrialLogRecor
             name: _parse_param_value(cell, space, name)
             for name, cell in zip(names, row[2 : 2 + len(names)])
         }
-        objective_cell, sem_cell, status, elapsed = row[2 + len(names) :]
+        objective_cell, sem_cell, status = row[2 + len(names) :]
         records.append(
             TrialLogRecord(
                 trial_index=int(row[0]),
@@ -146,7 +139,6 @@ def read_trial_log(path, space: SearchSpace | None = None) -> list[TrialLogRecor
                 objective=float(objective_cell) if objective_cell else None,
                 sem=float(sem_cell) if sem_cell else None,
                 status=status,
-                elapsed_ms=int(elapsed),
             )
         )
     return records

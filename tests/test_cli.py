@@ -251,7 +251,7 @@ class TestTrialLog:
         exp = new_experiment(default_space("quadratic1d"), seed=0)
         path = tmp_path / "trials.csv"
         write_trial_log(exp, path)
-        assert path.read_text() == "trial_index,generator,x,objective,sem,status,elapsed_ms\n"
+        assert path.read_text() == "trial_index,generator,x,objective,sem,status\n"
 
     def test_round_trip_records(self, tmp_path):
         exp = tiny_experiment(4, with_sem=True)
@@ -273,8 +273,8 @@ class TestTrialLog:
         path = tmp_path / "trials.csv"
         write_trial_log(exp, path)
         rows = list(csv.reader(path.open()))
-        assert rows[-1][-4] == "" and rows[-1][-3] == ""
-        assert rows[-1][-2] == "FAILED"
+        assert rows[-1][-3] == "" and rows[-1][-2] == ""
+        assert rows[-1][-1] == "FAILED"
 
     def test_reals_keep_17_significant_digits(self, tmp_path):
         exp = new_experiment(default_space("quadratic1d"), seed=0)
@@ -292,7 +292,7 @@ class TestTrialLog:
         write_trial_log(exp, path)
         header = path.read_text().splitlines()[0].split(",")
         assert header == ["trial_index", "generator", "x", "k", "act", "tag",
-                          "objective", "sem", "status", "elapsed_ms"]
+                          "objective", "sem", "status"]
 
 
 class TestRun:
