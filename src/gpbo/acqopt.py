@@ -10,23 +10,13 @@ to the initial scatter.  Ties break toward the lowest candidate index.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import (
-    EI,
-    PI,
-    UCB,
-    AcquisitionSpec,
-    ei,
-    mc_ei_from_posterior,
-    pi,
-    ucb,
-)
+from .acquisition import EI, PI, AcquisitionSpec, ei, pi, ucb
 from .errors import NumericalError, SpaceError, UsageError
-from .gp import GpModel, PosteriorSummary, _fast_posterior
+from .gp import GpModel, _fast_posterior
 from .sobol import SobolEngine
 
 
@@ -47,38 +37,13 @@ class AcqOptConfig:
             raise UsageError("tol must be positive")
 
 
-def _point_seed(seed: int, x: np.ndarray) -> int:
-    # Seeds MC scoring per point, so the score is a function of x alone
-    # and refinement sees consistent values across batches.
-    digest = hashlib.blake2b(
-        np.int64(seed).tobytes() + np.ascontiguousarray(x, dtype=float).tobytes(),
-        digest_size=8,
-    ).digest()
-    return int.from_bytes(digest, "little") % (1 << 63)
-
-
 def _make_scorer(model: GpModel, spec: AcquisitionSpec):
     post = _fast_posterior(model)
     if spec.kind == EI:
         return lambda pts: ei(post(pts), spec.incumbent)
     if spec.kind == PI:
         return lambda pts: pi(post(pts), spec.incumbent)
-    if spec.kind == UCB:
-        return lambda pts: ucb(post(pts), spec.beta)
-
-    def mc_scorer(pts):
-        summary = post(pts)
-        out = np.empty(pts.shape[0])
-        for i in range(pts.shape[0]):
-            single = PosteriorSummary(
-                means=summary.means[i : i + 1], variances=summary.variances[i : i + 1]
-            )
-            out[i] = mc_ei_from_posterior(
-                single, spec.incumbent, spec.mc_samples, _point_seed(spec.seed, pts[i])
-            )[0]
-        return out
-
-    return mc_scorer
+    return lambda pts: ucb(post(pts), spec.beta)
 
 
 def _quadratic_vertex(ts, fs):

@@ -9,8 +9,7 @@ dropping below the incumbent.  With gamma(x) = (incumbent - mu(x)) / sigma(x):
 
 At sigma below 1e-12 each formula degenerates to its continuous limit.
 The Monte-Carlo EI estimate averages max(incumbent - sample, 0) over
-seeded posterior draws; it exists to cross-check the closed form and to
-score acquisitions that have no closed form under transformed objectives.
+seeded posterior draws; it exists to cross-check the closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .errors import SpaceError, UsageError
+from .errors import UsageError
 from .gp import GpModel, PosteriorSummary, posterior, rsample
 
 _SIGMA_FLOOR = 1e-12
@@ -28,7 +27,6 @@ _SQRT2 = np.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 EI = "ei"
-MC_EI = "mc_ei"
 PI = "pi"
 UCB = "ucb"
 
@@ -38,25 +36,20 @@ class AcquisitionSpec:
     """Which acquisition to score and the constants it needs.
 
     ``incumbent`` is the current best value in standardized minimization
-    units (required by ei, mc_ei, pi); ``beta`` is the ucb trade-off;
-    ``mc_samples`` and ``seed`` drive the Monte-Carlo estimate.
+    units (required by ei and pi); ``beta`` is the ucb trade-off.
     """
 
     kind: str
     incumbent: float | None = None
     beta: float = 2.0
-    mc_samples: int = 128
-    seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in (EI, MC_EI, PI, UCB):
+        if self.kind not in (EI, PI, UCB):
             raise UsageError(f"unknown acquisition kind {self.kind!r}")
-        if self.kind in (EI, MC_EI, PI) and self.incumbent is None:
+        if self.kind in (EI, PI) and self.incumbent is None:
             raise UsageError(f"{self.kind} requires an incumbent value")
         if self.kind == UCB and not self.beta > 0:
             raise UsageError(f"ucb requires beta > 0, got {self.beta}")
-        if self.kind == MC_EI and self.mc_samples < 1:
-            raise UsageError(f"mc_ei requires mc_samples >= 1, got {self.mc_samples}")
 
 
 def std_normal_pdf(z):
@@ -127,12 +120,3 @@ def incumbent_value(model: GpModel) -> float:
     if model.n == 0:
         raise UsageError("no incumbent exists for an empty model")
     return float(posterior(model, model.X).means.min())
-
-
-def scalarize(weights, outputs) -> float:
-    """Linear scalarization of multi-output observations: a dot product."""
-    w = np.asarray(weights, dtype=float)
-    v = np.asarray(outputs, dtype=float)
-    if w.shape != v.shape or w.ndim != 1 or w.size < 1:
-        raise SpaceError(f"weights {w.shape} and outputs {v.shape} must be equal-length vectors")
-    return float(w @ v)

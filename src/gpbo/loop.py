@@ -72,15 +72,12 @@ class GenerationStrategy:
 
     init_arms: int = 5
     total_trials: int = 20
-    arms_per_trial: int = 1
 
     def __post_init__(self):
         if self.total_trials < 1:
             raise UsageError("total_trials must be >= 1")
         if self.init_arms < 0 or self.init_arms > self.total_trials:
             raise UsageError("init_arms must be in [0, total_trials]")
-        if self.arms_per_trial != 1:
-            raise UsageError("only one arm per trial is supported")
 
 
 @dataclass

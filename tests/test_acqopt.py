@@ -92,17 +92,6 @@ class TestMaximizeAcquisition:
         np.testing.assert_array_equal(x1, x2)
         assert v1 == v2
 
-    def test_mc_ei_scoring_deterministic(self):
-        model = toy_model(2)
-        spec = AcquisitionSpec(
-            kind="mc_ei", incumbent=incumbent_value(model), mc_samples=64, seed=5
-        )
-        cfg = AcqOptConfig(candidate_count=32, refine_count=2, seed=1)
-        x1, v1 = maximize_acquisition(model, spec, 1, cfg)
-        x2, v2 = maximize_acquisition(model, spec, 1, cfg)
-        np.testing.assert_array_equal(x1, x2)
-        assert v1 == v2
-
     def test_dimension_mismatch(self):
         model = toy_model(0, d=2)
         with pytest.raises(Exception):

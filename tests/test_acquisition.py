@@ -13,7 +13,6 @@ from gpbo import (
     KernelSpec,
     MeanSpec,
     PosteriorSummary,
-    SpaceError,
     UsageError,
     ei,
     incumbent_value,
@@ -21,7 +20,6 @@ from gpbo import (
     mc_ei,
     pi,
     rsample,
-    scalarize,
     std_normal_cdf,
     std_normal_pdf,
     ucb,
@@ -221,27 +219,6 @@ class TestIncumbent:
             incumbent_value(make_model(np.empty((0, 1)), [], default_hyperparams(1)))
 
 
-class TestScalarize:
-    def test_identity(self):
-        assert scalarize([1.0], [3.5]) == 3.5
-
-    def test_average(self):
-        assert scalarize([0.5, 0.5], [2.0, 4.0]) == 3.0
-
-    @given(st.lists(st.tuples(st.floats(-10, 10), st.floats(-10, 10)), min_size=1, max_size=8))
-    @settings(max_examples=50)
-    def test_permutation_invariant(self, pairs):
-        w = [p[0] for p in pairs]
-        v = [p[1] for p in pairs]
-        forward = scalarize(w, v)
-        backward = scalarize(w[::-1], v[::-1])
-        assert backward == pytest.approx(forward, rel=1e-12, abs=1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(SpaceError):
-            scalarize([1.0, 2.0], [1.0])
-
-
 class TestAcquisitionSpec:
     def test_ei_requires_incumbent(self):
         with pytest.raises(UsageError):
@@ -254,7 +231,3 @@ class TestAcquisitionSpec:
     def test_ucb_requires_positive_beta(self):
         with pytest.raises(UsageError):
             AcquisitionSpec(kind="ucb", beta=-1.0)
-
-    def test_mc_ei_requires_samples(self):
-        with pytest.raises(UsageError):
-            AcquisitionSpec(kind="mc_ei", incumbent=0.0, mc_samples=0)

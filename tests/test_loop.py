@@ -338,7 +338,3 @@ class TestGenerationStrategy:
     def test_init_cannot_exceed_total(self):
         with pytest.raises(UsageError):
             GenerationStrategy(init_arms=9, total_trials=5)
-
-    def test_single_arm_per_trial_enforced(self):
-        with pytest.raises(UsageError):
-            GenerationStrategy(arms_per_trial=2)
