@@ -16,7 +16,7 @@ import numpy as np
 
 from .acquisition import EI, PI, AcquisitionSpec, ei, pi, ucb
 from .errors import NumericalError, SpaceError, UsageError
-from .gp import GpModel, _fast_posterior
+from .gp import GpModel, posterior
 from .sobol import SobolEngine
 
 
@@ -38,12 +38,11 @@ class AcqOptConfig:
 
 
 def _make_scorer(model: GpModel, spec: AcquisitionSpec):
-    post = _fast_posterior(model)
     if spec.kind == EI:
-        return lambda pts: ei(post(pts), spec.incumbent)
+        return lambda pts: ei(posterior(model, pts), spec.incumbent)
     if spec.kind == PI:
-        return lambda pts: pi(post(pts), spec.incumbent)
-    return lambda pts: ucb(post(pts), spec.beta)
+        return lambda pts: pi(posterior(model, pts), spec.incumbent)
+    return lambda pts: ucb(posterior(model, pts), spec.beta)
 
 
 def _quadratic_vertex(ts, fs):
@@ -118,7 +117,9 @@ def maximize_acquisition(
 
     Fully deterministic for fixed (model, spec, cfg): the Sobol scatter is
     seeded by cfg.seed, refinement is exact arithmetic, and ties go to the
-    lowest-index candidate.
+    lowest-index candidate.  The value is the score of the returned point
+    queried alone: BLAS may round a point's posterior differently in the
+    last bits depending on how many points share the query.
     """
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
@@ -140,4 +141,4 @@ def maximize_acquisition(
         x, v = _refine(score, candidates[idx], values[idx], cfg)
         if v > best_v or (v == best_v and best_idx is not None and idx < best_idx):
             best_x, best_v, best_idx = x, v, idx
-    return best_x, float(best_v)
+    return best_x, float(score(best_x[None, :])[0])

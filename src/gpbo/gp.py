@@ -104,16 +104,18 @@ def default_hyperparams(d: int, family: str = MATERN52) -> GpHyperparams:
 class GpModel:
     """A fitted (or directly constructed) GP with its cached factorization.
 
-    ``chol`` is the lower Cholesky factor of K + (noise + jitter) I and
-    ``alpha`` solves (L L') alpha = y - m.  ``noise_diag``, when present,
-    is a fixed per-observation noise variance that replaces the
-    homoscedastic ``theta.noise_variance``.
+    ``chol`` is the lower Cholesky factor L of K + (noise + jitter) I,
+    ``chol_inv`` is L^{-1}, computed once so that each posterior query is
+    a matrix product, and ``alpha`` solves (L L') alpha = y - m.
+    ``noise_diag``, when present, is a fixed per-observation noise variance
+    that replaces the homoscedastic ``theta.noise_variance``.
     """
 
     X: np.ndarray
     y: np.ndarray
     theta: GpHyperparams
     chol: np.ndarray | None
+    chol_inv: np.ndarray | None
     alpha: np.ndarray | None
     jitter_used: float
     noise_diag: np.ndarray | None = None
@@ -313,14 +315,23 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
     if X.shape[0] != y.shape[0]:
         raise SpaceError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] == 0:
-        return GpModel(X=X, y=y, theta=theta, chol=None, alpha=None, jitter_used=0.0)
+        return GpModel(
+            X=X, y=y, theta=theta, chol=None, chol_inv=None, alpha=None, jitter_used=0.0
+        )
     nd = _effective_noise_diag(theta, X.shape[0], noise_diag)
     K = kernel_matrix(theta.kernel, X)
     sigma2 = 0.0 if nd is not None else theta.noise_variance
     L, jitter = factorize(K, sigma2, nd)
     alpha = cho_solve((L, True), y - theta.mean.constant)
     return GpModel(
-        X=X, y=y, theta=theta, chol=L, alpha=alpha, jitter_used=jitter, noise_diag=nd
+        X=X,
+        y=y,
+        theta=theta,
+        chol=L,
+        chol_inv=solve_triangular(L, np.eye(L.shape[0]), lower=True),
+        alpha=alpha,
+        jitter_used=jitter,
+        noise_diag=nd,
     )
 
 
@@ -537,7 +548,7 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
         )
     kstar = kernel_matrix(spec, model.X, Xq)
     means = m + kstar.T @ model.alpha
-    v = solve_triangular(model.chol, kstar, lower=True)
+    v = model.chol_inv @ kstar
     variances = spec.signal_variance - np.einsum("ij,ij->j", v, v)
     worst = float(variances.min())
     if worst < -1e-8:
@@ -545,33 +556,6 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
             f"posterior variance {worst} below the rounding floor", NumericsWarning
         )
     return PosteriorSummary(means=means, variances=np.maximum(variances, 0.0))
-
-
-def _fast_posterior(model: GpModel):
-    """Closure precomputing L^{-1} so repeated small queries stay cheap.
-
-    Agrees with :func:`posterior` to rounding; used by the acquisition
-    optimizer, which issues thousands of 1-3 point queries.
-    """
-    spec = model.theta.kernel
-    m = model.theta.mean.constant
-    if model.n == 0:
-        def prior(Xq):
-            q = Xq.shape[0]
-            return PosteriorSummary(np.full(q, m), np.full(q, spec.signal_variance))
-
-        return prior
-    linv = solve_triangular(model.chol, np.eye(model.n), lower=True)
-    X, alpha, s2 = model.X, model.alpha, spec.signal_variance
-
-    def closure(Xq):
-        kstar = kernel_matrix(spec, X, Xq)
-        means = m + kstar.T @ alpha
-        v = linv @ kstar
-        variances = np.maximum(s2 - np.einsum("ij,ij->j", v, v), 0.0)
-        return PosteriorSummary(means, variances)
-
-    return closure
 
 
 def rsample(summary: PosteriorSummary, n: int, seed: int) -> np.ndarray:

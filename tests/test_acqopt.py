@@ -91,6 +91,8 @@ class TestMaximizeAcquisition:
         x2, v2 = maximize_acquisition(model, spec, 3, cfg)
         np.testing.assert_array_equal(x1, x2)
         assert v1 == v2
+        # The optimizer scores through the same posterior path as everyone else.
+        assert v1 == ei(posterior(model, x1[None]), spec.incumbent)[0]
 
     def test_dimension_mismatch(self):
         model = toy_model(0, d=2)
