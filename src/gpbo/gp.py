@@ -6,9 +6,14 @@ standardized by the caller.  The model is
     f ~ GP(m, k),    y_i = f(x_i) + eps_i,   eps_i ~ N(0, sigma2)
 
 with a constant mean m and a stationary ARD kernel (Matern-5/2 by default,
-RBF selectable).  Inference is dense: one Cholesky factorization of
-K + sigma2*I per fit or prediction, with a diagonal jitter ladder as the
-fallback for near-singular covariances (duplicate inputs).
+RBF selectable).  Inference is dense.  One routine builds K + sigma2*I,
+factorizes it through the one jitter ladder (:func:`factorize`, which
+escalates a diagonal jitter for near-singular covariances such as
+duplicate inputs), and returns the mll, its gradient, the Cholesky factor
+and alpha.  Fitting, :func:`mll`, :func:`mll_grad` and :func:`make_model`
+all call it; a fitted model keeps the factor found at the winning
+hyperparameters, and :func:`posterior` answers every query from that
+factor and its inverse, computed once per model.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
 mean) are chosen by multi-start maximization of the log marginal
@@ -26,9 +31,10 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
@@ -177,44 +183,111 @@ def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) 
     return _kernel_from_r2(spec, _scaled_sq_dists(spec, X, Z))
 
 
-def factorize(K: np.ndarray, noise_variance: float, noise_diag: np.ndarray | None = None):
-    """Cholesky of K + (noise + jitter) I with an escalating jitter ladder.
+def _jitters(K: np.ndarray):
+    """Zero, then JITTER_LADDER scaled by the mean diagonal of K.
 
-    Jitter starts at zero and escalates through JITTER_LADDER scaled by
-    the mean diagonal of K (a proxy for the signal variance).  Returns
-    (lower factor, jitter actually used).
+    The scale is computed only once the jitter-free attempt has failed.
     """
-    K = np.asarray(K, dtype=float)
-    n = K.shape[0]
-    idx = np.arange(n)
+    yield 0.0
     scale = float(np.mean(np.diag(K)))
     if not np.isfinite(scale) or scale <= 0:
         scale = 1.0
-    base = K.copy()
-    base[idx, idx] += noise_variance
-    if noise_diag is not None:
-        base[idx, idx] += np.asarray(noise_diag, dtype=float)
+    for step in JITTER_LADDER:
+        yield step * scale
+
+
+def factorize(K: np.ndarray, noise_variance: float, noise_diag: np.ndarray | None = None):
+    """Cholesky of K + (noise + jitter) I with an escalating jitter ladder.
+
+    Every factorization in the package goes through here.  Jitter starts
+    at zero and escalates through JITTER_LADDER scaled by the mean diagonal
+    of K (a proxy for the signal variance).  Returns (lower factor, jitter
+    actually used).
+    """
+    K = np.asarray(K, dtype=float)
+    idx = np.arange(K.shape[0])
+    A = K.copy()
+    if noise_diag is None:
+        A[idx, idx] += noise_variance
+    else:
+        A[idx, idx] += noise_variance + np.asarray(noise_diag, dtype=float)
     previous = 0.0
-    for jitter in (0.0,) + tuple(j * scale for j in JITTER_LADDER):
-        base[idx, idx] += jitter - previous
-        previous = jitter
-        try:
-            return np.linalg.cholesky(base), jitter
-        except np.linalg.LinAlgError:
-            continue
-    base[idx, idx] -= previous
-    eigs = np.linalg.eigvalsh(base)
+    for jitter in _jitters(K):
+        if jitter != previous:
+            A[idx, idx] += jitter - previous
+            previous = jitter
+        L, info = dpotrf(A, lower=1)
+        if info == 0:
+            return L, jitter
+    A[idx, idx] -= previous
+    eigs = np.linalg.eigvalsh(A)
     raise NumericalError(
         "covariance not positive definite at maximum jitter",
         diagnostics={
             "min_eigenvalue": float(eigs.min()),
             "max_eigenvalue": float(eigs.max()),
-            "max_jitter": JITTER_LADDER[-1] * scale,
+            "max_jitter": previous,
         },
     )
 
 
-def _effective_noise_diag(theta: GpHyperparams, n: int, noise_diag: np.ndarray | None):
+class _MllParts(NamedTuple):
+    value: float
+    grad: np.ndarray | None
+    chol: np.ndarray
+    alpha: np.ndarray
+    jitter: float
+
+
+def _sq_diffs(X: np.ndarray) -> np.ndarray:
+    """Squared input differences per dimension, shape (d, N, N)."""
+    return np.ascontiguousarray(((X[:, None, :] - X[None, :, :]) ** 2).transpose(2, 0, 1))
+
+
+def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_grad) -> _MllParts:
+    """The marginal-likelihood routine behind fit, mll, mll_grad and make_model.
+
+    Takes natural hyperparameters on precomputed squared differences
+    (:func:`_sq_diffs`) and returns the mll, its gradient in the layout of
+    :func:`mll_grad` (None unless ``with_grad``), the Cholesky factor, alpha
+    and the jitter used.  A multi-start fit makes thousands of calls, so it
+    stays on raw LAPACK.  Raises NumericalError when the jitter ladder is
+    exhausted.
+    """
+    d, n, _ = diff2.shape
+    ls2 = 1.0 / (lengthscales * lengthscales)
+    r2 = (ls2 @ diff2.reshape(d, -1)).reshape(n, n)
+    if family == RBF:
+        K = s2 * np.exp(-0.5 * r2)
+    else:
+        rr = np.sqrt(r2)
+        decay = np.exp(-_SQRT5 * rr)
+        K = s2 * (1.0 + _SQRT5 * rr + (5.0 / 3.0) * r2) * decay
+    L, jitter = factorize(K, sigma2, noise_diag)
+    r = y - m
+    alpha = dpotrs(L, r, lower=1)[0]
+    value = (
+        -0.5 * float(r @ alpha)
+        - float(np.sum(np.log(np.einsum("ii->i", L))))
+        - 0.5 * n * _LOG_2PI
+    )
+    if not with_grad:
+        return _MllParts(value, None, L, alpha, jitter)
+
+    # dL/dtheta = 1/2 tr(P dK~/dtheta) with P = alpha alpha' - K~^{-1}, and
+    # dK/dlog l_j = radial * ls2_j * diff2_j.
+    P = np.outer(alpha, alpha) - dpotrs(L, np.eye(n), lower=1)[0]
+    radial = K if family == RBF else (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * rr) * decay
+    grad = np.empty(d + (3 if noise_diag is None else 2))
+    grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
+    grad[d] = 0.5 * float(np.vdot(P, K))
+    if noise_diag is None:
+        grad[d + 1] = 0.5 * sigma2 * float(np.trace(P))
+    grad[-1] = float(np.sum(alpha))
+    return _MllParts(value, grad, L, alpha, jitter)
+
+
+def _noise_diag(n: int, noise_diag) -> np.ndarray | None:
     if noise_diag is None:
         return None
     nd = np.asarray(noise_diag, dtype=float)
@@ -223,30 +296,44 @@ def _effective_noise_diag(theta: GpHyperparams, n: int, noise_diag: np.ndarray |
     return nd
 
 
-def _mll_parts(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None):
-    """Shared plumbing: factorization, residual, alpha, and the mll value."""
+def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllParts:
+    """Validate a dataset and run the core routine at theta."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     if n < 1:
         raise UsageError("marginal likelihood requires at least one observation")
-    nd = _effective_noise_diag(theta, n, noise_diag)
-    K = kernel_matrix(theta.kernel, X)
+    spec = theta.kernel
+    if X.shape[1] != spec.lengthscales.shape[0]:
+        raise SpaceError(
+            f"inputs have {X.shape[1]} columns, kernel has "
+            f"{spec.lengthscales.shape[0]} lengthscales"
+        )
+    nd = _noise_diag(n, noise_diag)
     sigma2 = 0.0 if nd is not None else theta.noise_variance
-    L, jitter = factorize(K, sigma2, nd)
-    r = y - theta.mean.constant
-    alpha = cho_solve((L, True), r)
-    value = (
-        -0.5 * float(r @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
-        - 0.5 * n * _LOG_2PI
+    return _mll_core(
+        _sq_diffs(X), y, spec.family, spec.lengthscales, spec.signal_variance,
+        sigma2, theta.mean.constant, nd, with_grad,
     )
-    return K, L, alpha, r, value, jitter
+
+
+def _assemble(X, y, theta: GpHyperparams, noise_diag, parts: _MllParts) -> GpModel:
+    L = parts.chol
+    return GpModel(
+        X=X,
+        y=y,
+        theta=theta,
+        chol=L,
+        chol_inv=solve_triangular(L, np.eye(L.shape[0]), lower=True),
+        alpha=parts.alpha,
+        jitter_used=parts.jitter,
+        noise_diag=noise_diag,
+    )
 
 
 def mll(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> float:
     """Log marginal likelihood of the targets under theta."""
-    return _mll_parts(theta, X, y, noise_diag)[4]
+    return _evaluate(theta, X, y, noise_diag, False).value
 
 
 def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> np.ndarray:
@@ -257,52 +344,7 @@ def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None
     then d(mean constant).  Uses the standard trace identity
     dL/dtheta = 1/2 tr((alpha alpha' - K~^{-1}) dK~/dtheta).
     """
-    return _mll_and_grad(theta, X, y, noise_diag)[1]
-
-
-def _mll_and_grad(theta: GpHyperparams, X, y, noise_diag=None):
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    n, d = X.shape
-    if n < 1:
-        raise UsageError("marginal likelihood requires at least one observation")
-    nd = _effective_noise_diag(theta, n, noise_diag)
-    spec = theta.kernel
-    s2 = spec.signal_variance
-
-    # One pass over the pairwise differences feeds K and every dK/dtheta.
-    scaled = (X[:, None, :] - X[None, :, :]) / spec.lengthscales
-    sq = scaled * scaled
-    r2 = np.einsum("ijk->ij", sq)
-    K = _kernel_from_r2(spec, r2)
-    sigma2 = 0.0 if nd is not None else theta.noise_variance
-    L, _ = factorize(K, sigma2, nd)
-    r = y - theta.mean.constant
-    alpha = cho_solve((L, True), r)
-    value = (
-        -0.5 * float(r @ alpha)
-        - float(np.sum(np.log(np.diag(L))))
-        - 0.5 * n * _LOG_2PI
-    )
-
-    Kinv = cho_solve((L, True), np.eye(n))
-    P = np.outer(alpha, alpha) - Kinv
-    grad = np.empty(d + (2 if noise_diag is not None else 3))
-    if spec.family == RBF:
-        radial = K  # dK/dlog l_j = K * D_j with D_j the scaled squared diffs
-    else:
-        rr = np.sqrt(r2)
-        radial = (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * rr) * np.exp(-_SQRT5 * rr)
-    PR = P * radial
-    for j in range(d):
-        grad[j] = 0.5 * float(np.sum(PR * sq[:, :, j]))
-    grad[d] = 0.5 * float(np.sum(P * K))  # d log s2
-    if noise_diag is None:
-        grad[d + 1] = 0.5 * theta.noise_variance * float(np.trace(P))
-        grad[d + 2] = float(np.sum(alpha))
-    else:
-        grad[d + 1] = float(np.sum(alpha))
-    return value, grad
+    return _evaluate(theta, X, y, noise_diag, True).grad
 
 
 def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
@@ -318,88 +360,8 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
         return GpModel(
             X=X, y=y, theta=theta, chol=None, chol_inv=None, alpha=None, jitter_used=0.0
         )
-    nd = _effective_noise_diag(theta, X.shape[0], noise_diag)
-    K = kernel_matrix(theta.kernel, X)
-    sigma2 = 0.0 if nd is not None else theta.noise_variance
-    L, jitter = factorize(K, sigma2, nd)
-    alpha = cho_solve((L, True), y - theta.mean.constant)
-    return GpModel(
-        X=X,
-        y=y,
-        theta=theta,
-        chol=L,
-        chol_inv=solve_triangular(L, np.eye(L.shape[0]), lower=True),
-        alpha=alpha,
-        jitter_used=jitter,
-        noise_diag=nd,
-    )
-
-
-def _make_fit_objective(X: np.ndarray, y: np.ndarray, family: str, noise_diag):
-    """Negative mll and gradient over packed log-parameters.
-
-    Same math as :func:`_mll_and_grad` (including the jitter ladder),
-    specialized for a fixed dataset and stripped down to raw LAPACK calls:
-    a multi-start fit makes thousands of evaluations of this function, so
-    per-call overhead dominates the wall time at desk-scale N.
-    """
-    n, d = X.shape
-    diff2 = np.ascontiguousarray(((X[:, None, :] - X[None, :, :]) ** 2).transpose(2, 0, 1))
-    eye = np.eye(n)
-    idx = np.arange(n)
-    nd = None if noise_diag is None else np.asarray(noise_diag, dtype=float)
-    with_noise = nd is None
-    zeros = np.zeros(d + (3 if with_noise else 2))
-
-    def objective(z):
-        ls2 = np.exp(-2.0 * z[:d])
-        s2 = math.exp(z[d])
-        sigma2 = math.exp(z[d + 1]) if with_noise else 0.0
-        m = z[-1]
-        r2 = np.tensordot(ls2, diff2, axes=1)
-        if family == RBF:
-            K = s2 * np.exp(-0.5 * r2)
-            radial = K
-        else:
-            rr = np.sqrt(r2)
-            decay = np.exp(-_SQRT5 * rr)
-            K = s2 * (1.0 + _SQRT5 * rr + (5.0 / 3.0) * r2) * decay
-            radial = (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * rr) * decay
-        A = K.copy()
-        A[idx, idx] += sigma2 if nd is None else sigma2 + nd
-        L = None
-        previous = 0.0
-        for jitter in (0.0,) + tuple(j * s2 for j in JITTER_LADDER):
-            if jitter != previous:
-                A[idx, idx] += jitter - previous
-                previous = jitter
-            c, info = dpotrf(A, lower=1)
-            if info == 0:
-                L = c
-                break
-        if L is None:
-            return 1e25, zeros
-        r = y - m
-        alpha = dpotrs(L, r, lower=1)[0]
-        value = (
-            -0.5 * float(r @ alpha)
-            - float(np.sum(np.log(np.einsum("ii->i", L))))
-            - 0.5 * n * _LOG_2PI
-        )
-        if not np.isfinite(value):
-            return 1e25, zeros
-        P = np.outer(alpha, alpha) - dpotrs(L, eye, lower=1)[0]
-        grad = np.empty_like(zeros)
-        PR = P * radial
-        for j in range(d):
-            grad[j] = 0.5 * float(np.vdot(PR, diff2[j])) * ls2[j]
-        grad[d] = 0.5 * float(np.vdot(P, K))
-        if with_noise:
-            grad[d + 1] = 0.5 * sigma2 * float(np.trace(P))
-        grad[-1] = float(np.sum(alpha))
-        return -value, -grad
-
-    return objective
+    parts = _evaluate(theta, X, y, noise_diag, False)
+    return _assemble(X, y, theta, _noise_diag(X.shape[0], noise_diag), parts)
 
 
 def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
@@ -463,7 +425,9 @@ def fit(
     gradient tolerance 1e-6) on the negative mll over log-parameters; the
     best final value wins, ties broken by the lowest restart index.  The
     default hyperparameters are always included as start 0, so the fitted
-    mll is never worse than theirs.
+    mll is never worse than theirs.  The returned model keeps the
+    factorization computed at the winning hyperparameters, which
+    ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
 
     When ``noise_diag`` is given (per-observation noise variances), the
     noise is fixed rather than fitted.
@@ -482,18 +446,35 @@ def fit(
         raise UsageError("fit requires at least one observation")
     if restarts < 1:
         raise UsageError("fit requires at least one restart")
-    with_noise = noise_diag is None
+    nd = _noise_diag(n, noise_diag)
+    with_noise = nd is None
     bounds = _fit_bounds(d, with_noise)
     default = np.clip(
         _pack(default_hyperparams(d, family), with_noise),
         [b[0] for b in bounds],
         [b[1] for b in bounds],
     )
+    diff2 = _sq_diffs(X)
+    failed = (1e25, np.zeros(len(bounds)))
 
-    objective = _make_fit_objective(X, y, family, noise_diag)
+    def evaluate(z, with_grad):
+        # The same arithmetic as _unpack, so make_model(X, y, theta) at the
+        # winning z reproduces the fitted model bitwise.
+        sigma2 = math.exp(z[d + 1]) if with_noise else 0.0
+        return _mll_core(
+            diff2, y, family, np.exp(z[:d]), math.exp(z[d]), sigma2, z[-1], nd, with_grad
+        )
 
-    best_val = -np.inf
-    best_z = None
+    def objective(z):
+        try:
+            parts = evaluate(z, True)
+        except NumericalError:
+            return failed
+        if not np.isfinite(parts.value):
+            return failed
+        return -parts.value, -parts.grad
+
+    best_z, best = None, None
     failures = []
     for idx, z0 in enumerate(_start_points(bounds, restarts, seed, default)):
         try:
@@ -512,16 +493,17 @@ def fit(
         # Keeping the start point as a candidate guarantees the fitted mll
         # is at least the mll at every start used.
         for z in candidates:
-            val = -objective(z)[0]
-            if val > -1e24 and val > best_val:
-                best_val = val
-                best_z = np.array(z)
-    if best_z is None:
+            try:
+                parts = evaluate(z, False)
+            except NumericalError:
+                continue
+            if np.isfinite(parts.value) and (best is None or parts.value > best.value):
+                best_z, best = np.array(z), parts
+    if best is None:
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}
         )
-    theta = _unpack(best_z, d, family, with_noise)
-    return make_model(X, y, theta, noise_diag)
+    return _assemble(X, y, _unpack(best_z, d, family, with_noise), nd, best)
 
 
 def posterior(model: GpModel, Xq) -> PosteriorSummary:

@@ -241,16 +241,34 @@ class TestFit:
         summary = posterior(model, [[0.5]])
         assert summary.means[0] == pytest.approx(0.0, abs=0.05)
 
-    def test_never_worse_than_default_hyperparams(self):
+    @pytest.mark.parametrize("case", ["random", "duplicated", "fixed-noise"])
+    def test_never_worse_than_default_hyperparams(self, case):
         rng = np.random.default_rng(9)
+        jitters = []
         for _ in range(5):
             n, d = int(rng.integers(3, 12)), int(rng.integers(1, 3))
             X = rng.random((n, d))
             y = rng.standard_normal(n)
-            model = fit(X, y, restarts=5, seed=1)
-            baseline = mll(default_hyperparams(d), X, y)
+            noise_diag = None
+            if case == "duplicated":
+                # Noise-free repeats make K singular, so the ladder must add jitter.
+                X, y = np.tile(X, (3, 1)), np.tile(y, 3)
+                noise_diag = np.zeros(3 * n)
+            elif case == "fixed-noise":
+                noise_diag = rng.uniform(0.01, 0.2, n)
+            model = fit(X, y, restarts=5, seed=1, noise_diag=noise_diag)
+            baseline = mll(default_hyperparams(d), X, y, noise_diag=noise_diag)
             fitted = mll(model.theta, X, y, noise_diag=model.noise_diag)
             assert fitted >= baseline - 1e-9
+            # fit keeps the factorization of the one core routine at the
+            # winning theta; rebuilding the model there reproduces it bitwise.
+            rebuilt = make_model(X, y, model.theta, noise_diag)
+            np.testing.assert_array_equal(rebuilt.chol, model.chol)
+            np.testing.assert_array_equal(rebuilt.alpha, model.alpha)
+            assert rebuilt.jitter_used == model.jitter_used
+            jitters.append(model.jitter_used)
+        if case == "duplicated":
+            assert min(jitters) > 0.0
 
     def test_recovers_known_lengthscale(self):
         # Data generated from a Matern-5/2 GP with l = 0.2; the fitted ARD
