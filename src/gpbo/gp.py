@@ -528,16 +528,18 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
         return PosteriorSummary(
             means=np.full(q, m), variances=np.full(q, spec.signal_variance)
         )
-    kstar = kernel_matrix(spec, model.X, Xq)
+    # The acquisition optimizer makes thousands of 1-3 point queries, so
+    # this path skips kernel_matrix's second round of input checks.
+    kstar = _kernel_from_r2(spec, _scaled_sq_dists(spec, model.X, Xq))
     means = m + kstar.T @ model.alpha
     v = model.chol_inv @ kstar
     variances = spec.signal_variance - np.einsum("ij,ij->j", v, v)
-    worst = float(variances.min())
+    worst = variances.min()
     if worst < -1e-8:
         warnings.warn(
             f"posterior variance {worst} below the rounding floor", NumericsWarning
         )
-    return PosteriorSummary(means=means, variances=np.maximum(variances, 0.0))
+    return PosteriorSummary(means, np.maximum(variances, 0.0))
 
 
 def rsample(summary: PosteriorSummary, n: int, seed: int) -> np.ndarray:
