@@ -86,10 +86,6 @@ class SearchSpace:
         return sum(1 for p in self.params if not p.is_fixed)
 
     @property
-    def non_fixed(self) -> tuple[ParameterSpec, ...]:
-        return tuple(p for p in self.params if not p.is_fixed)
-
-    @property
     def names(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params)
 
