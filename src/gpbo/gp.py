@@ -360,8 +360,8 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
         return GpModel(
             X=X, y=y, theta=theta, chol=None, chol_inv=None, alpha=None, jitter_used=0.0
         )
-    parts = _evaluate(theta, X, y, noise_diag, False)
-    return _assemble(X, y, theta, _noise_diag(X.shape[0], noise_diag), parts)
+    nd = _noise_diag(X.shape[0], noise_diag)
+    return _assemble(X, y, theta, nd, _evaluate(theta, X, y, nd, False))
 
 
 def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
