@@ -512,6 +512,10 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
     mu(x)     = m + k*' alpha
     sigma2(x) = k(x, x) - || L^{-1} k* ||^2   (clamped at zero)
 
+    Batch-invariant: each point's mean and variance are bitwise the same
+    however many other points share the call, so scores computed one
+    point at a time and in batches can be compared exactly.
+
     An empty model returns the prior.  Computed variances below -1e-8 are
     a numerics bug, not rounding, and emit a NumericsWarning.
     """
@@ -528,12 +532,13 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
         return PosteriorSummary(
             means=np.full(q, m), variances=np.full(q, spec.signal_variance)
         )
-    # The acquisition optimizer makes thousands of 1-3 point queries, so
-    # this path skips kernel_matrix's second round of input checks.
-    kstar = _kernel_from_r2(spec, _scaled_sq_dists(spec, model.X, Xq))
-    means = m + kstar.T @ model.alpha
-    v = model.chol_inv @ kstar
-    variances = spec.signal_variance - np.einsum("ij,ij->j", v, v)
+    # This path skips kernel_matrix's second round of input checks.  Queries
+    # sit on rows and every row is reduced by einsum, never by BLAS, whose
+    # gemv and gemm kernels round the same row differently.
+    kq = _kernel_from_r2(spec, _scaled_sq_dists(spec, Xq, model.X))
+    means = m + np.einsum("qi,i->q", kq, model.alpha)
+    v = np.einsum("qi,ki->qk", kq, model.chol_inv)
+    variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
     worst = variances.min()
     if worst < -1e-8:
         warnings.warn(

@@ -390,6 +390,25 @@ class TestPosterior:
             ).variances
             assert np.all(after <= before + 1e-9)
 
+    @pytest.mark.parametrize("n,d", [(5, 2), (13, 1), (24, 3), (41, 4), (60, 5)])
+    def test_batch_invariant(self, n, d):
+        # A point's answer must not depend on how many points share the
+        # query: the acquisition optimizer compares scores from calls of
+        # 1 to 256 points.
+        rng = np.random.default_rng(n * 10 + d)
+        X = rng.random((n, d))
+        y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+        model = fit(X, (y - y.mean()) / y.std(), restarts=2, seed=n)
+        Q = rng.random((256, d))
+        batch = posterior(model, Q)
+        for size in (1, 2, 3, 24, 40):
+            for start in range(0, 256 - size + 1, 43):
+                part = posterior(model, Q[start:start + size])
+                np.testing.assert_array_equal(part.means, batch.means[start:start + size])
+                np.testing.assert_array_equal(
+                    part.variances, batch.variances[start:start + size]
+                )
+
     def test_dimension_mismatch(self):
         model = make_model([[0.5, 0.5]], [1.0], default_hyperparams(2))
         with pytest.raises(SpaceError):
