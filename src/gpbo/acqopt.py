@@ -6,6 +6,13 @@ Each coordinate move fits a parabola through three stencil values (a
 numerical-derivative Newton step), keeps every iterate clamped inside the
 box, and only ever accepts strict improvements, so refinement never loses
 to the initial scatter.  Ties break toward the lowest candidate index.
+
+The starts are refined in lockstep.  Each start is a generator that
+yields the points it wants scored next and receives their scores; every
+round, the driver concatenates all live starts' requests into one scorer
+call and hands each start its slice.  Because ``posterior`` is
+batch-invariant, this returns bitwise what refining the starts one at a
+time would.
 """
 
 from __future__ import annotations
@@ -61,8 +68,11 @@ def _quadratic_vertex(ts, fs):
     return vertex if np.isfinite(vertex) else None
 
 
-def _refine(score, x0: np.ndarray, v0: float, cfg: AcqOptConfig):
+def _refine(x0: np.ndarray, v0: float, cfg: AcqOptConfig):
     """Coordinate-wise quadratic-fit ascent, clamped to the unit box.
+
+    A generator: it yields each batch of points it needs scored, expects
+    their scores sent back, and returns the final (x, value).
 
     Any strict improvement is kept (so refinement never loses), but only
     improvements beyond a tolerance-scaled threshold keep the step size
@@ -85,7 +95,7 @@ def _refine(score, x0: np.ndarray, v0: float, cfg: AcqOptConfig):
                 ts = sorted({lo, 0.5 * (lo + hi), hi})
             pts = np.repeat(x[None, :], len(ts), axis=0)
             pts[:, j] = ts
-            known = dict(zip(ts, score(pts)))
+            known = dict(zip(ts, (yield pts)))
             vertex = _quadratic_vertex(ts, [known[t] for t in ts])
             trials = [lo, hi]
             if vertex is not None:
@@ -94,7 +104,7 @@ def _refine(score, x0: np.ndarray, v0: float, cfg: AcqOptConfig):
             if missing:
                 pts = np.repeat(x[None, :], len(missing), axis=0)
                 pts[:, j] = missing
-                for t, f in zip(missing, score(pts)):
+                for t, f in zip(missing, (yield pts)):
                     known[t] = f
             t_best = max(known, key=lambda t: (known[t], -abs(t - x[j])))
             gain = known[t_best] - v
@@ -108,6 +118,33 @@ def _refine(score, x0: np.ndarray, v0: float, cfg: AcqOptConfig):
             if h < cfg.tol:
                 break
     return x, v
+
+
+def _lockstep(score, starts: list) -> list:
+    """Run refinement generators together, one scorer call per round.
+
+    Returns each generator's (x, value), in the order given.
+    """
+    results = [None] * len(starts)
+    pending = {}
+
+    def advance(i, scores):
+        try:
+            pending[i] = starts[i].send(scores)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(starts)):
+        advance(i, None)
+    while pending:
+        live = list(pending.items())
+        pending.clear()
+        scores = score(np.concatenate([pts for _, pts in live]))
+        offset = 0
+        for i, pts in live:
+            advance(i, scores[offset:offset + len(pts)])
+            offset += len(pts)
+    return results
 
 
 def maximize_acquisition(
@@ -134,11 +171,10 @@ def maximize_acquisition(
         raise NumericalError("acquisition is non-finite at every candidate")
     top = np.argsort(-values, kind="stable")[: cfg.refine_count]
 
+    top = [idx for idx in top if values[idx] > -np.inf]
+    refined = _lockstep(score, [_refine(candidates[idx], values[idx], cfg) for idx in top])
     best_x, best_v, best_idx = None, -np.inf, None
-    for idx in top:
-        if values[idx] == -np.inf:
-            continue
-        x, v = _refine(score, candidates[idx], values[idx], cfg)
+    for idx, (x, v) in zip(top, refined):
         if v > best_v or (v == best_v and best_idx is not None and idx < best_idx):
             best_x, best_v, best_idx = x, v, idx
     return best_x, float(score(best_x[None, :])[0])

@@ -17,6 +17,7 @@ from gpbo import (
     maximize_acquisition,
     posterior,
 )
+from gpbo.acqopt import _refine
 
 
 def toy_model(seed, n=6, d=1, noise=0.01):
@@ -29,6 +30,28 @@ def toy_model(seed, n=6, d=1, noise=0.01):
 
 def ei_spec(model):
     return AcquisitionSpec(kind="ei", incumbent=incumbent_value(model))
+
+
+def refine_one_at_a_time(model, spec, d, cfg):
+    """The lockstep optimizer's reference: each start refined alone."""
+
+    def score(pts):
+        return ei(posterior(model, pts), spec.incumbent)
+
+    candidates = SobolEngine(d).fast_forward(cfg.seed % 4096).next(cfg.candidate_count)
+    values = score(candidates)
+    best_x, best_v, best_idx = None, -np.inf, None
+    for idx in np.argsort(-values, kind="stable")[: cfg.refine_count]:
+        start = _refine(candidates[idx], values[idx], cfg)
+        try:
+            pts = next(start)
+            while True:
+                pts = start.send(score(pts))
+        except StopIteration as stop:
+            x, v = stop.value
+        if v > best_v or (v == best_v and idx < best_idx):
+            best_x, best_v, best_idx = x, v, idx
+    return best_x, best_v
 
 
 class TestMaximizeAcquisition:
@@ -93,6 +116,17 @@ class TestMaximizeAcquisition:
         assert v1 == v2
         # The optimizer scores through the same posterior path as everyone else.
         assert v1 == ei(posterior(model, x1[None]), spec.incumbent)[0]
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_lockstep_matches_refining_each_start_alone(self, d):
+        for seed in range(3):
+            model = toy_model(seed, n=4 + 3 * d, d=d)
+            spec = ei_spec(model)
+            cfg = AcqOptConfig(seed=seed)
+            x, value = maximize_acquisition(model, spec, d, cfg)
+            x_ref, value_ref = refine_one_at_a_time(model, spec, d, cfg)
+            np.testing.assert_array_equal(x, x_ref)
+            assert value == value_ref
 
     def test_dimension_mismatch(self):
         model = toy_model(0, d=2)
