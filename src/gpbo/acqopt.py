@@ -154,9 +154,7 @@ def maximize_acquisition(
 
     Fully deterministic for fixed (model, spec, cfg): the Sobol scatter is
     seeded by cfg.seed, refinement is exact arithmetic, and ties go to the
-    lowest-index candidate.  The value is the score of the returned point
-    queried alone: BLAS may round a point's posterior differently in the
-    last bits depending on how many points share the query.
+    lowest-index candidate.
     """
     if d < 1:
         raise UsageError(f"dimension must be >= 1, got {d}")
@@ -169,12 +167,11 @@ def maximize_acquisition(
     values = np.where(np.isfinite(values), values, -np.inf)
     if not np.any(values > -np.inf):
         raise NumericalError("acquisition is non-finite at every candidate")
-    top = np.argsort(-values, kind="stable")[: cfg.refine_count]
-
-    top = [idx for idx in top if values[idx] > -np.inf]
+    order = np.argsort(-values, kind="stable")[: cfg.refine_count]
+    top = [idx for idx in order if values[idx] > -np.inf]
     refined = _lockstep(score, [_refine(candidates[idx], values[idx], cfg) for idx in top])
     best_x, best_v, best_idx = None, -np.inf, None
     for idx, (x, v) in zip(top, refined):
         if v > best_v or (v == best_v and best_idx is not None and idx < best_idx):
             best_x, best_v, best_idx = x, v, idx
-    return best_x, float(score(best_x[None, :])[0])
+    return best_x, float(best_v)
