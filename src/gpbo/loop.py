@@ -189,21 +189,26 @@ def _encoded_arms(experiment: Experiment) -> np.ndarray:
     ).reshape(len(experiment.trials), experiment.space.d)
 
 
-def _near_existing(u: np.ndarray, experiment: Experiment) -> bool:
+def _near_existing(arm: Arm, experiment: Experiment) -> bool:
+    """Whether the arm lies within DUPLICATE_TOLERANCE of a trial's arm.
+
+    Compares decoded arms, so two unit-cube points that round to the same
+    integers and choices count as the same arm.
+    """
     if not experiment.trials:
         return False
-    gaps = np.abs(_encoded_arms(experiment) - u).max(axis=1)
+    gaps = np.abs(_encoded_arms(experiment) - encode(arm, experiment.space)).max(axis=1)
     return bool(gaps.min() <= DUPLICATE_TOLERANCE)
 
 
 def _next_sobol_arm(experiment: Experiment, index: int) -> Arm:
     # The engine only moves forward, so repeated fallbacks cannot loop on
-    # the same point; the retry guards against collisions with manual arms.
+    # the same point; the retry guards against collisions with earlier arms.
     for _ in range(100):
-        u = experiment._sobol.next(1)[0]
-        if not _near_existing(u, experiment):
+        arm = decode(experiment._sobol.next(1)[0], experiment.space, name=f"trial_{index}")
+        if not _near_existing(arm, experiment):
             break
-    return decode(u, experiment.space, name=f"trial_{index}")
+    return arm
 
 
 def _history_model(
@@ -237,8 +242,9 @@ def _history_model(
 def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) -> Trial:
     """Propose the next trial: Sobol while initializing, then GP-EI.
 
-    A GP-EI proposal landing within 1e-9 (max norm, encoded) of an
-    existing arm, or a failed GP fit, falls back to the next Sobol point.
+    A GP-EI proposal whose decoded arm lies within 1e-9 (max norm,
+    encoded) of an existing arm, or a failed GP fit, falls back to the
+    next Sobol point.
     """
     strategy = strategy if strategy is not None else GenerationStrategy()
     if any(t.status in (TrialStatus.CANDIDATE, TrialStatus.RUNNING) for t in experiment.trials):
@@ -258,11 +264,11 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
             spec = AcquisitionSpec(kind=EI, incumbent=incumbent_value(model))
             cfg = AcqOptConfig(seed=_derive_seed(experiment.seed, "acqopt", index))
             u, _ = maximize_acquisition(model, spec, experiment.space.d, cfg)
-            if _near_existing(u, experiment):
+            arm = decode(u, experiment.space, name=f"trial_{index}")
+            if _near_existing(arm, experiment):
                 arm = _next_sobol_arm(experiment, index)
                 metadata["fallback"] = "duplicate-proposal"
             else:
-                arm = decode(u, experiment.space, name=f"trial_{index}")
                 generator = GeneratorKind.GPEI
         except NumericalError as exc:
             logger.warning("GP fit failed (%s); falling back to Sobol", exc)

@@ -155,6 +155,22 @@ class TestSuggest:
         existing = [t.arm.values for t in exp.trials[:-1]]
         assert trial.arm.values not in existing
 
+    def test_discrete_space_spends_no_budget_on_repeats(self):
+        # 6 x 3 = 18 arms in all: distinct unit-cube proposals that round
+        # to an arm already tried must fall back instead of repeating it.
+        space = SearchSpace(
+            [ParameterSpec.range_int("k", 1, 6), ParameterSpec.choice("c", ["a", "b", "c"])]
+        )
+        offset = {"a": 0.5, "b": 0.0, "c": 1.0}
+
+        def objective(arm):
+            return Observation((arm.values["k"] - 3.3) ** 2 + offset[arm.values["c"]])
+
+        _, exp = optimize(space, objective, total_trials=18, seed=0)
+        arms = [(t.arm.values["k"], t.arm.values["c"]) for t in exp.trials]
+        assert len(set(arms)) == 18
+        assert any(t.metadata.get("fallback") == "duplicate-proposal" for t in exp.trials)
+
     def test_tiny_budget_stays_in_sobol_phase(self):
         _, exp = optimize(unit_space(), quadratic, total_trials=3, seed=0)
         assert [t.generator for t in exp.trials] == [GeneratorKind.SOBOL] * 3
