@@ -82,10 +82,14 @@ class GenerationStrategy:
 
 @dataclass
 class Trial:
+    """One arm's evaluation; ``encoded`` is the arm on the unit cube,
+    computed once when the trial is created."""
+
     index: int
     arm: Arm
     status: TrialStatus
     generator: GeneratorKind
+    encoded: np.ndarray = field(repr=False, compare=False)
     observation: Observation | None = None
     elapsed_ms: int = 0
     metadata: dict = field(default_factory=dict)
@@ -183,40 +187,39 @@ def _get_trial(experiment: Experiment, index: int) -> Trial:
     return experiment.trials[index]
 
 
-def _encoded_arms(experiment: Experiment) -> np.ndarray:
-    return np.array(
-        [encode(t.arm, experiment.space) for t in experiment.trials]
-    ).reshape(len(experiment.trials), experiment.space.d)
+def _decoded(u: np.ndarray, experiment: Experiment, index: int) -> tuple[Arm, np.ndarray]:
+    """The arm a unit-cube point decodes to, with that arm's encoding."""
+    arm = decode(u, experiment.space, name=f"trial_{index}")
+    return arm, encode(arm, experiment.space)
 
 
-def _near_existing(arm: Arm, experiment: Experiment) -> bool:
-    """Whether the arm lies within DUPLICATE_TOLERANCE of a trial's arm.
+def _near_existing(x: np.ndarray, experiment: Experiment) -> bool:
+    """Whether an encoded arm lies within DUPLICATE_TOLERANCE of a trial's arm.
 
-    Compares decoded arms, so two unit-cube points that round to the same
-    integers and choices count as the same arm.
+    Callers pass the encoding of a decoded arm, so two unit-cube points
+    that round to the same integers and choices count as the same arm.
     """
     if not experiment.trials:
         return False
-    gaps = np.abs(_encoded_arms(experiment) - encode(arm, experiment.space)).max(axis=1)
+    gaps = np.abs(np.stack([t.encoded for t in experiment.trials]) - x).max(axis=1)
     return bool(gaps.min() <= DUPLICATE_TOLERANCE)
 
 
-def _next_sobol_arm(experiment: Experiment, index: int) -> Arm:
+def _next_sobol_arm(experiment: Experiment, index: int) -> tuple[Arm, np.ndarray]:
     # The engine only moves forward, so repeated fallbacks cannot loop on
     # the same point; the retry guards against collisions with earlier arms.
     for _ in range(100):
-        arm = decode(experiment._sobol.next(1)[0], experiment.space, name=f"trial_{index}")
-        if not _near_existing(arm, experiment):
+        arm, x = _decoded(experiment._sobol.next(1)[0], experiment, index)
+        if not _near_existing(x, experiment):
             break
-    return arm
+    return arm, x
 
 
 def _history_model(
     experiment: Experiment, completed: list[Trial], stream: str, k: int
 ) -> tuple[GpModel, Standardizer]:
     """Fit the surrogate on completed trials, minimizing internally."""
-    space = experiment.space
-    X = np.stack([encode(t.arm, space) for t in completed])
+    X = np.stack([t.encoded for t in completed])
     y_raw = np.array([t.observation.objective for t in completed])
     y_internal = y_raw if experiment.minimize else -y_raw
     standardizer = fit_standardizer(y_internal)
@@ -257,28 +260,29 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
     generator = GeneratorKind.SOBOL
     metadata: dict = {}
     if len(completed) < strategy.init_arms or not completed:
-        arm = _next_sobol_arm(experiment, index)
+        arm, x = _next_sobol_arm(experiment, index)
     else:
         try:
             model, _ = _history_model(experiment, completed, "fit", index)
             spec = AcquisitionSpec(kind=EI, incumbent=incumbent_value(model))
             cfg = AcqOptConfig(seed=_derive_seed(experiment.seed, "acqopt", index))
             u, _ = maximize_acquisition(model, spec, experiment.space.d, cfg)
-            arm = decode(u, experiment.space, name=f"trial_{index}")
-            if _near_existing(arm, experiment):
-                arm = _next_sobol_arm(experiment, index)
+            arm, x = _decoded(u, experiment, index)
+            if _near_existing(x, experiment):
+                arm, x = _next_sobol_arm(experiment, index)
                 metadata["fallback"] = "duplicate-proposal"
             else:
                 generator = GeneratorKind.GPEI
         except NumericalError as exc:
             logger.warning("GP fit failed (%s); falling back to Sobol", exc)
-            arm = _next_sobol_arm(experiment, index)
+            arm, x = _next_sobol_arm(experiment, index)
             metadata["fallback"] = "gp-fit-failure"
     trial = Trial(
         index=index,
         arm=arm,
         status=TrialStatus.CANDIDATE,
         generator=generator,
+        encoded=x,
         metadata=metadata,
     )
     experiment.trials.append(trial)
@@ -289,12 +293,12 @@ def attach_arm(experiment: Experiment, arm: Arm) -> Trial:
     """Insert a user-chosen arm as a MANUAL candidate trial."""
     if any(t.status in (TrialStatus.CANDIDATE, TrialStatus.RUNNING) for t in experiment.trials):
         raise UsageError("an open trial exists; complete or fail it before attaching")
-    encode(arm, experiment.space)  # validates the arm against the space
     trial = Trial(
         index=len(experiment.trials),
         arm=arm,
         status=TrialStatus.CANDIDATE,
         generator=GeneratorKind.MANUAL,
+        encoded=encode(arm, experiment.space),  # also validates the arm
     )
     experiment.trials.append(trial)
     return trial
@@ -369,8 +373,7 @@ def best_result(experiment: Experiment) -> BestResult:
             "jitter": model.jitter_used,
         }
     )
-    X = np.stack([encode(t.arm, experiment.space) for t in completed])
-    summary = posterior(model, X)
+    summary = posterior(model, model.X)
     noise_free = all(t.observation.sem in (None, 0, 0.0) for t in completed)
     if noise_free:
         objectives = np.array([t.observation.objective for t in completed])
