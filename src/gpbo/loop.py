@@ -82,8 +82,11 @@ class GenerationStrategy:
 
 @dataclass
 class Trial:
-    """One arm's evaluation; ``encoded`` is the arm on the unit cube,
-    computed once when the trial is created."""
+    """One evaluation of one arm.
+
+    ``encoded`` is the arm on the unit cube, computed once when the trial
+    is created.
+    """
 
     index: int
     arm: Arm
