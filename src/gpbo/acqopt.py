@@ -1,11 +1,12 @@
-"""Inner proxy optimization: x_next = argmax acquisition(x) over [0, 1]^d.
+"""Inner proxy optimization: x_next = argmax EI(x) over [0, 1]^d.
 
-Deterministic multi-start search: score a Sobol scatter of candidates,
-then locally refine the best few by coordinate-wise quadratic-fit ascent.
-Each coordinate move fits a parabola through three stencil values (a
-numerical-derivative Newton step), keeps every iterate clamped inside the
-box, and only ever accepts strict improvements, so refinement never loses
-to the initial scatter.  Ties break toward the lowest candidate index.
+Deterministic multi-start search: score a Sobol scatter of 256 candidates
+by expected improvement, then locally refine the best 8 by coordinate-wise
+quadratic-fit ascent.  Each coordinate move fits a parabola through three
+stencil values (a numerical-derivative Newton step), keeps every iterate
+clamped inside the box, and only ever accepts strict improvements, so
+refinement never loses to the initial scatter.  Ties break toward the
+lowest candidate index.
 
 The starts are refined in lockstep.  Each start is a generator that
 yields the points it wants scored next and receives their scores; every
@@ -17,39 +18,17 @@ time would.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .acquisition import EI, PI, AcquisitionSpec, ei, pi, ucb
-from .errors import NumericalError, SpaceError, UsageError
+from .acquisition import ei
+from .errors import NumericalError
 from .gp import GpModel, posterior
 from .sobol import SobolEngine
 
-
-@dataclass(frozen=True)
-class AcqOptConfig:
-    candidate_count: int = 256
-    refine_count: int = 8
-    max_local_iters: int = 100
-    tol: float = 1e-9
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.candidate_count < 1 or self.refine_count < 1 or self.max_local_iters < 1:
-            raise UsageError("acquisition-optimizer counts must all be >= 1")
-        if self.refine_count > self.candidate_count:
-            raise UsageError("refine_count must not exceed candidate_count")
-        if not self.tol > 0:
-            raise UsageError("tol must be positive")
-
-
-def _make_scorer(model: GpModel, spec: AcquisitionSpec):
-    if spec.kind == EI:
-        return lambda pts: ei(posterior(model, pts), spec.incumbent)
-    if spec.kind == PI:
-        return lambda pts: pi(posterior(model, pts), spec.incumbent)
-    return lambda pts: ucb(posterior(model, pts), spec.beta)
+CANDIDATE_COUNT = 256
+REFINE_COUNT = 8
+MAX_SWEEPS = 100
+TOL = 1e-9
 
 
 def _quadratic_vertex(ts, fs):
@@ -68,7 +47,7 @@ def _quadratic_vertex(ts, fs):
     return vertex if np.isfinite(vertex) else None
 
 
-def _refine(x0: np.ndarray, v0: float, cfg: AcqOptConfig):
+def _refine(x0: np.ndarray, v0: float):
     """Coordinate-wise quadratic-fit ascent, clamped to the unit box.
 
     A generator: it yields each batch of points it needs scored, expects
@@ -83,12 +62,12 @@ def _refine(x0: np.ndarray, v0: float, cfg: AcqOptConfig):
     v = v0
     d = x.shape[0]
     h = 0.125
-    for _ in range(cfg.max_local_iters):
+    for _ in range(MAX_SWEEPS):
         significant = False
         for j in range(d):
             lo = max(0.0, x[j] - h)
             hi = min(1.0, x[j] + h)
-            if hi - lo < cfg.tol:
+            if hi - lo < TOL:
                 continue
             ts = sorted({lo, x[j], hi})
             if len(ts) < 3:
@@ -111,11 +90,11 @@ def _refine(x0: np.ndarray, v0: float, cfg: AcqOptConfig):
             if gain > 0:
                 x[j] = t_best
                 v = known[t_best]
-            if gain > cfg.tol * max(1.0, abs(v)):
+            if gain > TOL * max(1.0, abs(v)):
                 significant = True
         if not significant:
             h *= 0.125
-            if h < cfg.tol:
+            if h < TOL:
                 break
     return x, v
 
@@ -148,28 +127,26 @@ def _lockstep(score, starts: list) -> list:
 
 
 def maximize_acquisition(
-    model: GpModel, spec: AcquisitionSpec, d: int, cfg: AcqOptConfig
+    model: GpModel, incumbent: float, seed: int
 ) -> tuple[np.ndarray, float]:
-    """Best point in [0, 1]^d under the acquisition, with its value.
+    """Best point in [0, 1]^d under EI below the incumbent, with its value.
 
-    Fully deterministic for fixed (model, spec, cfg): the Sobol scatter is
-    seeded by cfg.seed, refinement is exact arithmetic, and ties go to the
-    lowest-index candidate.
+    Fully deterministic for fixed (model, incumbent, seed): the Sobol
+    scatter is seeded by ``seed``, refinement is exact arithmetic, and
+    ties go to the lowest-index candidate.
     """
-    if d < 1:
-        raise UsageError(f"dimension must be >= 1, got {d}")
-    if model.d != d:
-        raise SpaceError(f"model has {model.d} input dimensions, expected {d}")
-    engine = SobolEngine(d).fast_forward(cfg.seed % 4096)
-    candidates = engine.next(cfg.candidate_count)
-    score = _make_scorer(model, spec)
+
+    def score(pts):
+        return ei(posterior(model, pts), incumbent)
+
+    candidates = SobolEngine(model.d).fast_forward(seed % 4096).next(CANDIDATE_COUNT)
     values = np.asarray(score(candidates), dtype=float)
     values = np.where(np.isfinite(values), values, -np.inf)
     if not np.any(values > -np.inf):
         raise NumericalError("acquisition is non-finite at every candidate")
-    order = np.argsort(-values, kind="stable")[: cfg.refine_count]
+    order = np.argsort(-values, kind="stable")[:REFINE_COUNT]
     top = [idx for idx in order if values[idx] > -np.inf]
-    refined = _lockstep(score, [_refine(candidates[idx], values[idx], cfg) for idx in top])
+    refined = _lockstep(score, [_refine(candidates[idx], values[idx]) for idx in top])
     best_x, best_v, best_idx = None, -np.inf, None
     for idx, (x, v) in zip(top, refined):
         if v > best_v or (v == best_v and best_idx is not None and idx < best_idx):

@@ -23,8 +23,8 @@ from enum import Enum
 
 import numpy as np
 
-from .acqopt import AcqOptConfig, maximize_acquisition
-from .acquisition import EI, AcquisitionSpec, incumbent_value
+from .acqopt import maximize_acquisition
+from .acquisition import incumbent_value
 from .errors import EvaluatorFault, NumericalError, UsageError
 from .gp import GpModel, fit as fit_gp, posterior
 from .sobol import SobolEngine
@@ -267,9 +267,9 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
     else:
         try:
             model, _ = _history_model(experiment, completed, "fit", index)
-            spec = AcquisitionSpec(kind=EI, incumbent=incumbent_value(model))
-            cfg = AcqOptConfig(seed=_derive_seed(experiment.seed, "acqopt", index))
-            u, _ = maximize_acquisition(model, spec, experiment.space.d, cfg)
+            u, _ = maximize_acquisition(
+                model, incumbent_value(model), _derive_seed(experiment.seed, "acqopt", index)
+            )
             arm, x = _decoded(u, experiment, index)
             if _near_existing(x, experiment):
                 arm, x = _next_sobol_arm(experiment, index)

@@ -145,7 +145,7 @@ class TestSuggest:
             complete_trial(exp, t.index, quadratic(t.arm))
         first_encoded = encode(exp.trials[0].arm, exp.space)
 
-        def reproposes_first(model, spec, d, cfg):
+        def reproposes_first(model, incumbent, seed):
             return first_encoded.copy(), 1.0
 
         monkeypatch.setattr(gpbo.loop, "maximize_acquisition", reproposes_first)
