@@ -11,9 +11,9 @@ factorizes it through the one jitter ladder (:func:`factorize`, which
 escalates a diagonal jitter for near-singular covariances such as
 duplicate inputs), and returns the mll, its gradient, the Cholesky factor
 and alpha.  Fitting, :func:`mll`, :func:`mll_grad` and :func:`make_model`
-all call it; a fitted model keeps the factor found at the winning
-hyperparameters, and :func:`posterior` answers every query from that
-factor and its inverse, computed once per model.
+all call it; a model keeps the inverse of the factor found at its
+hyperparameters, computed once, and :func:`posterior` answers every
+query from that inverse and alpha.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
 mean) are chosen by multi-start maximization of the log marginal
@@ -110,21 +110,17 @@ def default_hyperparams(d: int, family: str = MATERN52) -> GpHyperparams:
 class GpModel:
     """A fitted (or directly constructed) GP with its cached factorization.
 
-    ``chol`` is the lower Cholesky factor L of K + (noise + jitter) I,
-    ``chol_inv`` is L^{-1}, computed once so that each posterior query is
-    a matrix product, and ``alpha`` solves (L L') alpha = y - m.
-    ``noise_diag``, when present, is a fixed per-observation noise variance
-    that replaces the homoscedastic ``theta.noise_variance``.
+    With L the lower Cholesky factor of K + noise + jitter I (the noise is
+    ``theta.noise_variance`` I, or a fixed per-observation diagonal in its
+    place), ``chol_inv`` is L^{-1}, computed once so that each posterior
+    query is a matrix product, and ``alpha`` solves (L L') alpha = y - m.
     """
 
     X: np.ndarray
-    y: np.ndarray
     theta: GpHyperparams
-    chol: np.ndarray | None
     chol_inv: np.ndarray | None
     alpha: np.ndarray | None
     jitter_used: float
-    noise_diag: np.ndarray | None = None
 
     @property
     def n(self) -> int:
@@ -317,17 +313,14 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
     )
 
 
-def _assemble(X, y, theta: GpHyperparams, noise_diag, parts: _MllParts) -> GpModel:
+def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
     L = parts.chol
     return GpModel(
         X=X,
-        y=y,
         theta=theta,
-        chol=L,
         chol_inv=solve_triangular(L, np.eye(L.shape[0]), lower=True),
         alpha=parts.alpha,
         jitter_used=parts.jitter,
-        noise_diag=noise_diag,
     )
 
 
@@ -357,11 +350,9 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
     if X.shape[0] != y.shape[0]:
         raise SpaceError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
     if X.shape[0] == 0:
-        return GpModel(
-            X=X, y=y, theta=theta, chol=None, chol_inv=None, alpha=None, jitter_used=0.0
-        )
+        return GpModel(X=X, theta=theta, chol_inv=None, alpha=None, jitter_used=0.0)
     nd = _noise_diag(X.shape[0], noise_diag)
-    return _assemble(X, y, theta, nd, _evaluate(theta, X, y, nd, False))
+    return _assemble(X, theta, _evaluate(theta, X, y, nd, False))
 
 
 def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
@@ -503,7 +494,7 @@ def fit(
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}
         )
-    return _assemble(X, y, _unpack(best_z, d, family, with_noise), nd, best)
+    return _assemble(X, _unpack(best_z, d, family, with_noise), best)
 
 
 def posterior(model: GpModel, Xq) -> PosteriorSummary:
