@@ -46,7 +46,11 @@ def run(config: RunConfig, out=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {out_dir}: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     began = time.perf_counter()
     try:
         best, experiment = optimize(

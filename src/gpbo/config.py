@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shlex
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -111,12 +112,17 @@ def _parse_objective(obj) -> BuiltinObjective | CommandObjective:
         return BuiltinObjective(name=name, params=params)
     block = obj["command"]
     if isinstance(block, str):
-        return CommandObjective(command=block)
+        block = {"command": block}
     _require(isinstance(block, dict), "'objective.command' must be a string or object")
     _reject_unknown(block, _COMMAND_KEYS, "'objective.command'")
     _require("command" in block, "'objective.command' requires 'command'")
     command = block["command"]
-    _require(isinstance(command, str) and command.strip() != "", "'command' must be a nonempty string")
+    _require(isinstance(command, str), "'command' must be a nonempty string")
+    try:
+        argv = shlex.split(command)
+    except ValueError as exc:
+        raise ConfigSchemaError(f"'command' cannot be split into arguments: {exc}") from None
+    _require(bool(argv), "'command' must be a nonempty string")
     timeout = block.get("timeout", DEFAULT_TIMEOUT)
     _require(
         isinstance(timeout, (int, float)) and not isinstance(timeout, bool) and timeout > 0,

@@ -33,10 +33,10 @@ def subprocess_evaluate(command: str, timeout: float, arm: Arm) -> Observation:
         proc = subprocess.run(
             argv, input=payload, capture_output=True, timeout=timeout
         )
-    except FileNotFoundError as exc:
-        raise EvaluatorFault("spawn-failure", str(exc)) from exc
     except subprocess.TimeoutExpired as exc:
         raise EvaluatorFault("timeout", f"no result within {timeout}s") from exc
+    except OSError as exc:
+        raise EvaluatorFault("spawn-failure", str(exc)) from exc
     if proc.returncode != 0:
         stderr = proc.stderr.decode(errors="replace").strip()
         raise EvaluatorFault(

@@ -217,6 +217,19 @@ class TestSubprocessEvaluate:
             subprocess_evaluate("no_such_binary_anywhere", 5, self.ARM)
         assert excinfo.value.kind == "spawn-failure"
 
+    @pytest.mark.parametrize("target", ["directory", "non-executable-file"])
+    def test_unrunnable_path_is_spawn_failure(self, tmp_path, target):
+        # execve refuses both with EACCES (PermissionError), not ENOENT.
+        path = tmp_path / "evaluator"
+        if target == "directory":
+            path.mkdir()
+        else:
+            path.write_text("#!/bin/sh\necho '{\"objective\": 1.0}'\n")
+            path.chmod(0o644)
+        with pytest.raises(EvaluatorFault) as excinfo:
+            subprocess_evaluate(str(path), 5, self.ARM)
+        assert excinfo.value.kind == "spawn-failure"
+
     def test_non_numeric_objective(self):
         cmd = child("import json; print(json.dumps({'objective': 'low'}))")
         with pytest.raises(EvaluatorFault) as excinfo:
@@ -389,6 +402,23 @@ class TestMain:
         lines = (out / "trials.csv").read_text().splitlines()
         assert len(lines) == 5
         assert json.loads((out / "report.json").read_text())["seed"] == 9
+
+    @pytest.mark.parametrize("command", ['python3 "eval.py', "   "])
+    def test_unsplittable_command_exits_2(self, tmp_path, capsys, command):
+        out = tmp_path / "never"
+        doc = dict(MINIMAL, objective={"command": command}, out_dir=str(out))
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "'command'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["run", str(path), "--out-dir", str(taken)]) == 2
+        assert "error: cannot create output directory" in capsys.readouterr().err
 
     def test_run_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
