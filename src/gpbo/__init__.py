@@ -32,8 +32,6 @@ from .gp import (
     default_hyperparams,
     factorize,
     fit,
-    kernel_eval,
-    kernel_matrix,
     make_model,
     mll,
     mll_grad,
@@ -113,8 +111,6 @@ __all__ = [
     "fit",
     "fit_standardizer",
     "incumbent_value",
-    "kernel_eval",
-    "kernel_matrix",
     "make_model",
     "maximize_acquisition",
     "mll",

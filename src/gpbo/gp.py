@@ -154,31 +154,6 @@ def _kernel_from_r2(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
     return s2 * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
 
 
-def kernel_eval(spec: KernelSpec, u, v) -> float:
-    """k(u, v) for a single pair of points."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape or u.shape != spec.lengthscales.shape:
-        raise SpaceError(
-            f"kernel_eval dimension mismatch: {u.shape}, {v.shape}, "
-            f"lengthscales {spec.lengthscales.shape}"
-        )
-    r2 = float(np.sum(((u - v) / spec.lengthscales) ** 2))
-    return float(_kernel_from_r2(spec, np.asarray(r2)))
-
-
-def kernel_matrix(spec: KernelSpec, X: np.ndarray, Z: np.ndarray | None = None) -> np.ndarray:
-    """Covariance matrix K(X, Z); K(X, X) when Z is omitted."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    if X.shape[1] != spec.lengthscales.shape[0]:
-        raise SpaceError(
-            f"kernel_matrix dimension mismatch: inputs have {X.shape[1]} columns, "
-            f"kernel has {spec.lengthscales.shape[0]} lengthscales"
-        )
-    Z = X if Z is None else np.atleast_2d(np.asarray(Z, dtype=float))
-    return _kernel_from_r2(spec, _scaled_sq_dists(spec, X, Z))
-
-
 def _jitters(K: np.ndarray):
     """Zero, then JITTER_LADDER scaled by the mean diagonal of K.
 
@@ -523,9 +498,8 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
         return PosteriorSummary(
             means=np.full(q, m), variances=np.full(q, spec.signal_variance)
         )
-    # This path skips kernel_matrix's second round of input checks.  Queries
-    # sit on rows and every row is reduced by einsum, never by BLAS, whose
-    # gemv and gemm kernels round the same row differently.
+    # Queries sit on rows and every row is reduced by einsum, never by BLAS,
+    # whose gemv and gemm kernels round the same row differently.
     kq = _kernel_from_r2(spec, _scaled_sq_dists(spec, Xq, model.X))
     means = m + np.einsum("qi,i->q", kq, model.alpha)
     v = np.einsum("qi,ki->qk", kq, model.chol_inv)

@@ -15,15 +15,13 @@ from gpbo import (
     default_hyperparams,
     factorize,
     fit,
-    kernel_eval,
-    kernel_matrix,
     make_model,
     mll,
     mll_grad,
     posterior,
     rsample,
 )
-from gpbo.gp import _pack, _unpack
+from gpbo.gp import _mll_core, _pack, _sq_diffs, _unpack
 
 from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_value
 
@@ -38,36 +36,46 @@ def random_theta(rng, d, family="matern52", noise=None):
     )
 
 
+def core_kernel(spec, X):
+    """K as _mll_core builds it, recovered from its factor as L L' - jitter I."""
+    X = np.asarray(X, dtype=float)
+    parts = _mll_core(
+        _sq_diffs(X), np.zeros(len(X)), spec.family, spec.lengthscales,
+        spec.signal_variance, 0.0, 0.0, None, False,
+    )
+    return parts.chol @ parts.chol.T - parts.jitter * np.eye(len(X))
+
+
 class TestKernelEval:
+    """The reference kernel_value, and the posterior's kernel point by point."""
+
     def test_self_covariance_is_signal_variance(self):
-        spec = KernelSpec("matern52", np.array([0.3, 0.7]), 1.7)
         u = np.array([0.2, 0.9])
-        assert kernel_eval(spec, u, u) == 1.7
+        assert kernel_value("matern52", [0.3, 0.7], 1.7, u, u) == 1.7
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
-        spec = KernelSpec("rbf", rng.uniform(0.1, 2, 3), 0.8)
+        ls = rng.uniform(0.1, 2, 3)
         u, v = rng.random(3), rng.random(3)
-        assert kernel_eval(spec, u, v) == kernel_eval(spec, v, u)
+        assert kernel_value("rbf", ls, 0.8, u, v) == kernel_value("rbf", ls, 0.8, v, u)
 
     def test_rbf_unit_distance(self):
-        spec = KernelSpec("rbf", np.array([1.0]), 1.0)
-        value = kernel_eval(spec, np.array([0.0]), np.array([1.0]))
+        value = kernel_value("rbf", [1.0], 1.0, [0.0], [1.0])
         assert value == pytest.approx(math.exp(-0.5), abs=1e-15)
 
     @pytest.mark.parametrize("family", ["matern52", "rbf"])
     def test_matches_loop_oracle(self, family):
+        # A noise-free one-point model at u with y - m = 1 has posterior
+        # mean m + k(v, u) / k(u, u) at v.
         rng = np.random.default_rng(1)
         spec = KernelSpec(family, rng.uniform(0.1, 2, 4), 1.3)
+        theta = GpHyperparams(spec, MeanSpec(0.2), 0.0)
         for _ in range(20):
             u, v = rng.random(4), rng.random(4)
+            model = make_model(u[None], [1.2], theta)
+            k = 1.3 * (posterior(model, v[None]).means[0] - 0.2)
             expected = kernel_value(family, spec.lengthscales, 1.3, u, v)
-            assert kernel_eval(spec, u, v) == pytest.approx(expected, rel=1e-14)
-
-    def test_dimension_mismatch(self):
-        spec = KernelSpec("rbf", np.array([1.0, 1.0]), 1.0)
-        with pytest.raises(SpaceError):
-            kernel_eval(spec, np.array([0.0]), np.array([1.0]))
+            assert k == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(UsageError):
@@ -79,16 +87,18 @@ class TestKernelEval:
 
 
 class TestKernelMatrix:
+    """The covariance matrix the one MLL routine builds."""
+
     def test_single_point(self):
         spec = KernelSpec("matern52", np.array([0.5]), 2.5)
-        np.testing.assert_array_equal(kernel_matrix(spec, [[0.3]]), [[2.5]])
+        assert core_kernel(spec, [[0.3]])[0, 0] == pytest.approx(2.5, rel=1e-15)
 
     def test_duplicated_rows_give_signal_variance(self):
         spec = KernelSpec("matern52", np.array([0.5, 0.5]), 1.9)
         X = np.array([[0.2, 0.4], [0.2, 0.4], [0.8, 0.1]])
-        K = kernel_matrix(spec, X)
-        assert K[0, 1] == 1.9
-        np.testing.assert_array_equal(np.diag(K), [1.9, 1.9, 1.9])
+        K = core_kernel(spec, X)
+        assert K[0, 1] == pytest.approx(1.9, rel=1e-12)
+        np.testing.assert_allclose(np.diag(K), [1.9, 1.9, 1.9], rtol=1e-12)
 
     @pytest.mark.parametrize("family", ["matern52", "rbf"])
     def test_matches_elementwise_oracle(self, family):
@@ -96,13 +106,14 @@ class TestKernelMatrix:
         spec = KernelSpec(family, rng.uniform(0.2, 1.0, 3), 1.1)
         X = rng.random((5, 3))
         expected = kernel_matrix_loops(family, spec.lengthscales, 1.1, X, X)
-        np.testing.assert_allclose(kernel_matrix(spec, X), expected, rtol=1e-14)
+        np.testing.assert_allclose(core_kernel(spec, X), expected, rtol=1e-12, atol=1e-15)
 
     def test_exactly_symmetric(self):
+        # K is built elementwise from these differences, so their exact
+        # symmetry makes K exactly symmetric.
         rng = np.random.default_rng(3)
-        spec = KernelSpec("matern52", rng.uniform(0.2, 1.0, 2), 1.0)
-        K = kernel_matrix(spec, rng.random((7, 2)))
-        np.testing.assert_array_equal(K, K.T)
+        diff2 = _sq_diffs(rng.random((7, 2)))
+        np.testing.assert_array_equal(diff2, diff2.transpose(0, 2, 1))
 
 
 class TestFactorize:
@@ -112,9 +123,8 @@ class TestFactorize:
         assert jitter == 0.0
 
     def test_duplicate_rows_need_jitter(self):
-        spec = KernelSpec("matern52", np.array([0.5]), 1.0)
         X = np.array([[0.4], [0.4], [0.4]])
-        L, jitter = factorize(kernel_matrix(spec, X), 0.0)
+        L, jitter = factorize(kernel_matrix_loops("matern52", [0.5], 1.0, X, X), 0.0)
         assert jitter > 0.0
         assert np.all(np.diag(L) > 0)
 
@@ -129,9 +139,8 @@ class TestFactorize:
         assert err < 1e-10
 
     def test_jittered_reconstruction_for_singular_matrix(self):
-        spec = KernelSpec("rbf", np.array([0.7]), 2.0)
         X = np.array([[0.1], [0.1], [0.9]])
-        K = kernel_matrix(spec, X)
+        K = kernel_matrix_loops("rbf", [0.7], 2.0, X, X)
         L, jitter = factorize(K, 0.0)
         target = K + jitter * np.eye(3)
         err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
@@ -303,7 +312,8 @@ class TestFit:
         X = rng.random((10, 2))
         y = rng.standard_normal(10)
         model = fit(X, y, restarts=4, seed=0)
-        K = kernel_matrix(model.theta.kernel, X)
+        spec = model.theta.kernel
+        K = kernel_matrix_loops(spec.family, spec.lengthscales, spec.signal_variance, X, X)
         Ky = K + (model.theta.noise_variance + model.jitter_used) * np.eye(10)
         residual = np.abs(Ky @ model.alpha - (y - model.theta.mean.constant)).max()
         assert residual < 1e-8 * (1 + np.abs(y).max())
