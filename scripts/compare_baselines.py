@@ -22,6 +22,7 @@ BENCH_PARAMS = {
     "quadratic1d": {},
     "branin2d": {},
     "groupweights3d": {"noise_sd": 0.01},
+    "hartmann6": {},
 }
 
 

@@ -1,6 +1,6 @@
 """Built-in benchmark objectives for desk-scale runs of the loop.
 
-Three objectives with known structure:
+Four objectives with known structure:
 
 * ``quadratic1d``: (x - 0.3)^2 on one float parameter.
 * ``branin2d``: the Branin function on its conventional domain
@@ -10,6 +10,10 @@ Three objectives with known structure:
   interaction term, and optional seeded Gaussian noise:
 
       sum_k c_k (w_k - target_k)^2 + 0.1 * w_fg * w_rg + noise
+
+* ``hartmann6``: the six-dimensional Hartmann function on [0, 1]^6,
+  global minimum -3.32237 (Surjanovic & Bingham, *Virtual Library of
+  Simulation Experiments*).
 
 The noise is a deterministic function of (seed, weights), so repeated
 evaluations of the same arm agree and whole runs replay bitwise.
@@ -26,7 +30,7 @@ import numpy as np
 from .errors import UsageError
 from .space import Arm, Observation, ParameterSpec, SearchSpace
 
-BUILTIN_NAMES = ("quadratic1d", "branin2d", "groupweights3d")
+BUILTIN_NAMES = ("quadratic1d", "branin2d", "groupweights3d", "hartmann6")
 
 GROUP_WEIGHT_NAMES = ("w_fg", "w_rg", "w_ccg")
 
@@ -75,6 +79,32 @@ def branin(x1: float, x2: float) -> float:
     return (x2 - b * x1**2 + c * x1 - 6.0) ** 2 + 10.0 * (1.0 - t) * math.cos(x1) + 10.0
 
 
+_HARTMANN6_ALPHA = np.array([1.0, 1.2, 3.0, 3.2])
+_HARTMANN6_A = np.array(
+    [
+        [10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
+        [0.05, 10.0, 17.0, 0.1, 8.0, 14.0],
+        [3.0, 3.5, 1.7, 10.0, 17.0, 8.0],
+        [17.0, 8.0, 0.05, 10.0, 0.1, 14.0],
+    ]
+)
+_HARTMANN6_P = 1e-4 * np.array(
+    [
+        [1312.0, 1696.0, 5569.0, 124.0, 8283.0, 5886.0],
+        [2329.0, 4135.0, 8307.0, 3736.0, 1004.0, 9991.0],
+        [2348.0, 1451.0, 3522.0, 2883.0, 3047.0, 6650.0],
+        [4047.0, 8828.0, 8732.0, 5743.0, 1091.0, 381.0],
+    ]
+)
+
+
+def hartmann6(x) -> float:
+    """Hartmann-6 on [0, 1]^6; global minimum ~-3.32237."""
+    x = np.asarray(x, dtype=float)
+    inner = np.sum(_HARTMANN6_A * (x - _HARTMANN6_P) ** 2, axis=1)
+    return -float(np.sum(_HARTMANN6_ALPHA * np.exp(-inner)))
+
+
 def _numeric_values(arm: Arm, expected: int, name: str) -> list[float]:
     values = list(arm.values.values())
     if len(values) != expected:
@@ -104,6 +134,8 @@ def builtin_objective(name: str, params: dict, arm: Arm) -> Observation:
             ) from None
         sem = bench.noise_sd if bench.noise_sd > 0 else None
         return Observation(bench.value(weights), sem=sem)
+    if name == "hartmann6":
+        return Observation(hartmann6(_numeric_values(arm, 6, name)))
     raise UsageError(f"unknown builtin objective {name!r}")
 
 
@@ -131,4 +163,6 @@ def default_space(name: str) -> SearchSpace:
         return SearchSpace(
             [ParameterSpec.range_float(w, 0.0, 1.0) for w in GROUP_WEIGHT_NAMES]
         )
+    if name == "hartmann6":
+        return SearchSpace([ParameterSpec.range_float(f"x{i}", 0.0, 1.0) for i in range(1, 7)])
     raise UsageError(f"unknown builtin objective {name!r}")

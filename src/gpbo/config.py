@@ -22,6 +22,7 @@ _BUILTIN_KEYS = {
     "quadratic1d": {"name"},
     "branin2d": {"name"},
     "groupweights3d": {"name", "targets", "curvature", "noise_sd", "seed"},
+    "hartmann6": {"name"},
 }
 _COMMAND_KEYS = {"command", "timeout"}
 

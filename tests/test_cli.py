@@ -154,6 +154,14 @@ class TestBuiltinObjectives:
         )
         assert obs.objective == pytest.approx(0.397887, abs=1e-5)
 
+    def test_hartmann6_global_minimum(self):
+        x_star = (0.20169, 0.150011, 0.476874, 0.275332, 0.311652, 0.6573)
+        arm = Arm("a", {f"x{i}": v for i, v in enumerate(x_star, start=1)})
+        assert arm.values.keys() == {p.name for p in default_space("hartmann6").params}
+        obs = builtin_objective("hartmann6", {}, arm)
+        assert obs.objective == pytest.approx(-3.32237, abs=1e-5)
+        assert obs.sem is None
+
     def test_unknown_name(self):
         with pytest.raises(UsageError):
             builtin_objective("nope", {}, Arm("a", {"x": 0.0}))
@@ -431,3 +439,10 @@ class TestMain:
         out = tmp_path / "bench_out"
         assert main(["bench", "quadratic1d", "--trials", "6", "--out-dir", str(out)]) == 0
         assert (out / "report.json").exists()
+
+    def test_bench_runs_hartmann6(self, tmp_path):
+        out = tmp_path / "bench_out"
+        assert main(["bench", "hartmann6", "--trials", "8", "--out-dir", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["n_trials"] == 8
+        assert sorted(report["best_arm"]) == [f"x{i}" for i in range(1, 7)]
