@@ -16,8 +16,8 @@ hyperparameters, computed once, and :func:`posterior` answers every
 query from that inverse and alpha.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
-mean) are chosen by multi-start maximization of the log marginal
-likelihood
+mean) are chosen by multi-start maximization, optionally warm-started
+from a previous theta, of the log marginal likelihood
 
     log p(y | X, theta) = -1/2 (y-m)' (K+sigma2 I)^{-1} (y-m)
                           - sum_i log L_ii - N/2 log(2 pi)
@@ -359,14 +359,12 @@ def _fit_bounds(d: int, with_noise: bool) -> list[tuple[float, float]]:
     return bounds
 
 
-def _start_points(bounds, restarts: int, seed: int, default: np.ndarray) -> list[np.ndarray]:
-    """Default hyperparameters first, then Sobol points over the bound box."""
-    starts = [default]
+def _start_points(lo, hi, restarts: int, seed: int, given: list) -> list[np.ndarray]:
+    """The given starts, then restarts - 1 Sobol points over the box [lo, hi]."""
+    starts = list(given)
     if restarts <= 1:
         return starts
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
-    k = len(bounds)
+    k = len(lo)
     if k <= MAX_DIMENSION:
         engine = SobolEngine(k).fast_forward(seed % 4096)
         u = engine.next(restarts - 1)
@@ -384,26 +382,33 @@ def fit(
     seed: int = 0,
     family: str = MATERN52,
     noise_diag=None,
+    start: GpHyperparams | None = None,
 ) -> GpModel:
     """Fit hyperparameters by multi-start maximum marginal likelihood.
 
     Each start runs bounded L-BFGS-B (max 200 iterations, projected
     gradient tolerance 1e-6) on the negative mll over log-parameters; the
-    best final value wins, ties broken by the lowest restart index.  The
-    default hyperparameters are always included as start 0, so the fitted
-    mll is never worse than theirs.  The returned model keeps the
+    best final value wins, ties broken by the lowest start index.  The
+    default hyperparameters are always start 0, so the fitted mll is never
+    worse than theirs.  A warm ``start`` (typically the previous fit's
+    theta on a history one observation shorter), clipped into the bounds,
+    is start 1, so the fitted mll is never worse than its mll either; then
+    come ``restarts - 1`` Sobol starts.  The returned model keeps the
     factorization computed at the winning hyperparameters, which
     ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
 
     When ``noise_diag`` is given (per-observation noise variances), the
-    noise is fixed rather than fitted.
+    noise is fixed rather than fitted.  A ``start`` from such a fit has
+    noise variance 0; warming a fitted-noise fit from it uses the default
+    noise variance for that coordinate.
 
     Parameters
     ----------
     X : (N, d) array of unit-cube inputs, N >= 1
     y : (N,) array of standardized targets
-    restarts : number of optimizer starts (>= 1)
+    restarts : number of cold optimizer starts (>= 1), the default first
     seed : offsets the Sobol stream the non-default starts are drawn from
+    start : optional hyperparameters refined as one extra start
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
@@ -415,11 +420,19 @@ def fit(
     nd = _noise_diag(n, noise_diag)
     with_noise = nd is None
     bounds = _fit_bounds(d, with_noise)
-    default = np.clip(
-        _pack(default_hyperparams(d, family), with_noise),
-        [b[0] for b in bounds],
-        [b[1] for b in bounds],
-    )
+    lo = np.array([b[0] for b in bounds])
+    hi = np.array([b[1] for b in bounds])
+    default = default_hyperparams(d, family)
+    given = [np.clip(_pack(default, with_noise), lo, hi)]
+    if start is not None:
+        if start.kernel.lengthscales.shape != (d,):
+            raise SpaceError(
+                f"start has {start.kernel.lengthscales.shape[0]} lengthscales, "
+                f"inputs have {d} columns"
+            )
+        if with_noise and start.noise_variance == 0.0:
+            start = GpHyperparams(start.kernel, start.mean, default.noise_variance)
+        given.append(np.clip(_pack(start, with_noise), lo, hi))
     diff2 = _sq_diffs(X)
     failed = (1e25, np.zeros(len(bounds)))
 
@@ -442,7 +455,7 @@ def fit(
 
     best_z, best = None, None
     failures = []
-    for idx, z0 in enumerate(_start_points(bounds, restarts, seed, default)):
+    for idx, z0 in enumerate(_start_points(lo, hi, restarts, seed, given)):
         try:
             res = minimize(
                 objective,

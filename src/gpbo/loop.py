@@ -4,9 +4,11 @@ One experiment owns one search space and an ordered list of trials, each
 evaluating a single arm.  Generation is Sobol for the first ``init_arms``
 completed trials and GP-EI afterwards: fit the surrogate on the completed
 history (encoded inputs, standardized outputs, always minimizing
-internally), take the smallest posterior mean at an observed point as the
-incumbent, and propose the EI maximizer.  Degenerate proposals and fit
-failures fall back to the next Sobol point rather than aborting.
+internally) with 3 cold restarts plus a warm start from the hyperparameters
+of the most recent fit, take the smallest posterior mean at an observed
+point as the incumbent, and propose the EI maximizer.  Degenerate
+proposals and fit failures fall back to the next Sobol point rather than
+aborting.
 
 Maximization is handled entirely at this boundary by negating objectives
 on the way in and back out, so every inner computation minimizes.
@@ -26,7 +28,7 @@ import numpy as np
 from .acqopt import maximize_acquisition
 from .acquisition import incumbent_value
 from .errors import EvaluatorFault, NumericalError, UsageError
-from .gp import GpModel, fit as fit_gp, posterior
+from .gp import GpHyperparams, GpModel, fit as fit_gp, posterior
 from .sobol import SobolEngine
 from .space import (
     Arm,
@@ -43,6 +45,7 @@ from .version import __version__
 logger = logging.getLogger("gpbo.loop")
 
 DUPLICATE_TOLERANCE = 1e-9
+FIT_RESTARTS = 3
 
 
 class NoCompletedTrialsError(UsageError):
@@ -85,7 +88,10 @@ class Trial:
     """One evaluation of one arm.
 
     ``encoded`` is the arm on the unit cube, computed once when the trial
-    is created.
+    is created.  ``theta`` holds the hyperparameters of the GP fitted when
+    the trial was suggested, also when its proposal fell back to Sobol as
+    a duplicate; it is None when no fit ran or the fit failed.  The next
+    fit starts from it.
     """
 
     index: int
@@ -96,6 +102,7 @@ class Trial:
     observation: Observation | None = None
     elapsed_ms: int = 0
     metadata: dict = field(default_factory=dict)
+    theta: GpHyperparams | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -221,7 +228,11 @@ def _next_sobol_arm(experiment: Experiment, index: int) -> tuple[Arm, np.ndarray
 def _history_model(
     experiment: Experiment, completed: list[Trial], stream: str, k: int
 ) -> tuple[GpModel, Standardizer]:
-    """Fit the surrogate on completed trials, minimizing internally."""
+    """Fit the surrogate on completed trials, minimizing internally.
+
+    The fit is warm-started from the theta of the most recent trial that
+    has one.
+    """
     X = np.stack([t.encoded for t in completed])
     y_raw = np.array([t.observation.objective for t in completed])
     y_internal = y_raw if experiment.minimize else -y_raw
@@ -238,9 +249,10 @@ def _history_model(
     model = fit_gp(
         X,
         y_std,
-        restarts=10,
+        restarts=FIT_RESTARTS,
         seed=_derive_seed(experiment.seed, stream, k),
         noise_diag=noise_diag,
+        start=next((t.theta for t in reversed(experiment.trials) if t.theta is not None), None),
     )
     return model, standardizer
 
@@ -262,6 +274,7 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
     completed = experiment.completed()
     generator = GeneratorKind.SOBOL
     metadata: dict = {}
+    theta = None
     if len(completed) < strategy.init_arms or not completed:
         arm, x = _next_sobol_arm(experiment, index)
     else:
@@ -276,6 +289,7 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
                 metadata["fallback"] = "duplicate-proposal"
             else:
                 generator = GeneratorKind.GPEI
+            theta = model.theta
         except NumericalError as exc:
             logger.warning("GP fit failed (%s); falling back to Sobol", exc)
             arm, x = _next_sobol_arm(experiment, index)
@@ -287,6 +301,7 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
         generator=generator,
         encoded=x,
         metadata=metadata,
+        theta=theta,
     )
     experiment.trials.append(trial)
     return trial

@@ -279,6 +279,36 @@ class TestFit:
         if case == "duplicated":
             assert min(jitters) > 0.0
 
+    @pytest.mark.parametrize("fixed_noise", [False, True])
+    def test_warm_start_never_worse_than_start_or_default(self, fixed_noise):
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            n, d = int(rng.integers(4, 12)), int(rng.integers(1, 4))
+            X = rng.random((n, d))
+            y = rng.standard_normal(n)
+            noise_diag = rng.uniform(0.01, 0.2, n) if fixed_noise else None
+            best_cold = fit(X, y, restarts=10, seed=3, noise_diag=noise_diag).theta
+            for theta in (random_theta(rng, d), best_cold):
+                # One cold start (the default) plus the warm one.
+                model = fit(X, y, restarts=1, seed=0, noise_diag=noise_diag, start=theta)
+                fitted = mll(model.theta, X, y, noise_diag=noise_diag)
+                assert fitted >= mll(theta, X, y, noise_diag=noise_diag) - 1e-9
+                assert fitted >= mll(default_hyperparams(d), X, y, noise_diag=noise_diag) - 1e-9
+
+    def test_fixed_noise_theta_warms_fitted_noise_fit(self):
+        rng = np.random.default_rng(18)
+        X = rng.random((8, 2))
+        y = rng.standard_normal(8)
+        fixed = fit(X, y, restarts=2, seed=0, noise_diag=np.full(8, 0.01)).theta
+        assert fixed.noise_variance == 0.0
+        model = fit(X, y, restarts=2, seed=0, start=fixed)
+        assert model.theta.noise_variance > 0.0
+        assert mll(model.theta, X, y) >= mll(default_hyperparams(2), X, y) - 1e-9
+
+    def test_warm_start_dimension_mismatch(self):
+        with pytest.raises(SpaceError):
+            fit([[0.1, 0.2], [0.5, 0.9]], [0.0, 1.0], start=default_hyperparams(3))
+
     def test_recovers_known_lengthscale(self):
         # Data generated from a Matern-5/2 GP with l = 0.2; the fitted ARD
         # lengthscale should land near it for almost every seed.

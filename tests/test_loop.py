@@ -135,6 +135,7 @@ class TestSuggest:
         trial = suggest(exp)
         assert trial.generator == GeneratorKind.SOBOL
         assert trial.metadata["fallback"] == "gp-fit-failure"
+        assert trial.theta is None
 
     def test_duplicate_proposal_falls_back_to_sobol(self, monkeypatch):
         import gpbo.loop
@@ -152,6 +153,7 @@ class TestSuggest:
         trial = suggest(exp)
         assert trial.generator == GeneratorKind.SOBOL
         assert trial.metadata["fallback"] == "duplicate-proposal"
+        assert trial.theta is not None  # the fit itself succeeded
         existing = [t.arm.values for t in exp.trials[:-1]]
         assert trial.arm.values not in existing
 
@@ -284,6 +286,45 @@ class TestOptimize:
         exp = excinfo.value.experiment
         assert len(exp.trials) == 6
         assert all(t.status == TrialStatus.FAILED for t in exp.trials)
+
+    def test_gpei_trials_carry_theta(self):
+        _, exp = optimize(unit_space(2), lambda arm: Observation(sum(arm.values.values())),
+                          total_trials=10, seed=1)
+        for t in exp.trials:
+            assert (t.theta is not None) == (t.generator == GeneratorKind.GPEI)
+        assert sum(t.generator == GeneratorKind.GPEI for t in exp.trials) == 5
+
+    def test_theta_sequence_is_deterministic(self):
+        def thetas():
+            _, exp = optimize(unit_space(2), lambda arm: Observation(sum(arm.values.values())),
+                              total_trials=10, seed=9)
+            return [
+                (tuple(t.theta.kernel.lengthscales), t.theta.kernel.signal_variance,
+                 t.theta.noise_variance, t.theta.mean.constant)
+                for t in exp.trials if t.theta is not None
+            ]
+
+        first = thetas()
+        assert len(first) == 5
+        assert thetas() == first
+
+    def test_each_fit_warm_starts_from_the_latest_theta(self, monkeypatch):
+        import gpbo.loop
+
+        starts = []
+        real_fit = gpbo.loop.fit_gp
+
+        def recording_fit(X, y, **kwargs):
+            starts.append(kwargs["start"])
+            return real_fit(X, y, **kwargs)
+
+        monkeypatch.setattr(gpbo.loop, "fit_gp", recording_fit)
+        _, exp = optimize(unit_space(), quadratic, total_trials=9, seed=2)
+        # One fit per GP-EI trial (5 to 8), then the final fit in best_result.
+        thetas = [t.theta for t in exp.trials[5:]]
+        assert starts[0] is None
+        assert all(a is b for a, b in zip(starts[1:], thetas))
+        assert len(starts) == 5
 
     def test_final_hyperparams_recorded(self):
         _, exp = optimize(unit_space(), quadratic, total_trials=7, seed=8)
