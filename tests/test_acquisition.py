@@ -81,6 +81,17 @@ class TestEi:
         s = summary(rng.uniform(-5, 5, 100), rng.uniform(0, 2, 100))
         assert np.all(ei(s, incumbent=0.0) >= 0.0)
 
+    @pytest.mark.parametrize(
+        "gamma, log_h",
+        [(-8.0, -37.122364261692645), (-10.0, -55.553122036122346), (-26.0, -345.43954672231797)],
+    )
+    def test_left_tail_matches_high_precision(self, gamma, log_h):
+        # log(gamma Phi(gamma) + phi(gamma)) from mpmath at 50 digits.  The
+        # erf identity for Phi cancels to 0 below gamma ~ -7.5 and leaves
+        # EI at phi(gamma), about 100x too large at gamma = -10.
+        value = ei(summary(-gamma, 1.0), incumbent=0.0)[0]
+        assert math.log(value) == pytest.approx(log_h, rel=1e-10)
+
     def test_increasing_in_sd_at_fixed_mean(self):
         # dEI/dsigma = pdf(gamma) > 0: more uncertainty, more improvement.
         for gamma in np.linspace(-3, 3, 13):
