@@ -8,18 +8,27 @@ dropping below the incumbent.  With gamma(x) = (incumbent - mu(x)) / sigma(x):
 At sigma below 1e-12 EI degenerates to its continuous limit, the hinge
 max(incumbent - mu(x), 0).  The incumbent is the smallest posterior mean
 over the training inputs.
+
+EI underflows to 0 from gamma ~ -38 on, and is flat long before, so the
+acquisition optimizer ascends :func:`log_ei` instead (Ament et al. 2023,
+"Unexpected improvements to expected improvement"), which stays finite.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtr
+from scipy.special import erfcx, ndtr
 
 from .errors import UsageError
 from .gp import GpModel, PosteriorSummary, posterior
 
 _SIGMA_FLOOR = 1e-12
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+_HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
+_SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
+# Below -_FAR, 1 - |gamma| Phi(gamma)/phi(gamma) loses more digits to
+# cancellation (eps gamma^2 relative) than the truncated series drops.
+_FAR = 100.0
 
 
 def std_normal_pdf(z):
@@ -34,7 +43,6 @@ def std_normal_cdf(z):
     scipy's ``ndtr`` switches to erfc below zero, so Phi(-10) ~ 7.6e-24
     keeps its digits where 0.5 (1 + erf(z / sqrt 2)) cancels to 0.
     """
-    z = np.asarray(z, dtype=float)
     return ndtr(z)
 
 
@@ -48,6 +56,37 @@ def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
     values = safe_sigma * (gamma * std_normal_cdf(gamma) + std_normal_pdf(gamma))
     limit = np.maximum(incumbent - mu, 0.0)
     return np.maximum(np.where(degenerate, limit, values), 0.0)
+
+
+def log_ei(summary: PosteriorSummary, incumbent: float):
+    """log EI with its partial derivatives in the mean and the sd, per point.
+
+    log EI = log sigma + log h(gamma) with h = gamma Phi + phi, finite
+    wherever sigma is above the floor, including deep in the left tail
+    where :func:`ei` underflows to 0.  Below the floor sigma is clamped to
+    it, which keeps log EI finite and, where the hinge is positive, equal
+    to its log up to rounding.  h' = Phi, so d log h / d gamma = Phi / h.
+    For gamma <= -1 both go through r = Phi/phi = sqrt(pi/2) erfcx(|gamma|/sqrt2)
+    and h/phi = 1 - |gamma| r, which below gamma = -_FAR (-100) is
+    replaced by its asymptotic series (1 - 3/g^2 + 15/g^4 - 105/g^6) / g^2.
+    Returns (values, d/dmu, d/dsigma).
+    """
+    sigma = np.maximum(np.sqrt(summary.variances), _SIGMA_FLOOR)
+    gamma = (incumbent - summary.means) / sigma
+    near = np.maximum(gamma, -1.0)
+    cdf = std_normal_cdf(near)
+    h = near * cdf + std_normal_pdf(near)
+    x = np.maximum(-gamma, 1.0)
+    r = _SQRT_HALF_PI * erfcx(x / np.sqrt(2.0))
+    xf2 = np.maximum(x, _FAR) ** -2
+    far = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
+    # h / phi.  x r >= 0.65 for x >= 1, so 1 - x r is exact and its log is
+    # log1p(-x r).
+    ratio = np.where(x > _FAR, far, 1.0 - x * r)
+    tail = gamma <= -1.0
+    log_h = np.where(tail, -0.5 * gamma * gamma - _HALF_LOG_2PI + np.log(ratio), np.log(h))
+    dlog_h = np.where(tail, r / ratio, cdf / h)
+    return np.log(sigma) + log_h, -dlog_h / sigma, (1.0 - gamma * dlog_h) / sigma
 
 
 def incumbent_value(model: GpModel) -> float:

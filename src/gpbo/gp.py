@@ -139,19 +139,17 @@ class PosteriorSummary:
     variances: np.ndarray
 
 
-def _scaled_sq_dists(spec: KernelSpec, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    # Explicit differences (not the a^2+b^2-2ab trick) so that coincident
-    # points give exactly zero and the matrix is exactly symmetric.
-    diff = (X[:, None, :] - Z[None, :, :]) / spec.lengthscales
-    return np.einsum("ijk,ijk->ij", diff, diff)
-
-
-def _kernel_from_r2(spec: KernelSpec, r2: np.ndarray) -> np.ndarray:
-    s2 = spec.signal_variance
-    if spec.family == RBF:
-        return s2 * np.exp(-0.5 * r2)
+def _kernel_from_r2(family: str, s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """k on scaled squared distances r2, and its radial factor -2 dk/d(r2)."""
+    if family == RBF:
+        K = s2 * np.exp(-0.5 * r2)
+        return K, K
     r = np.sqrt(r2)
-    return s2 * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * np.exp(-_SQRT5 * r)
+    decay = np.exp(-_SQRT5 * r)
+    return (
+        s2 * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * decay,
+        (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * r) * decay,
+    )
 
 
 def _jitters(K: np.ndarray):
@@ -227,13 +225,7 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     """
     d, n, _ = diff2.shape
     ls2 = 1.0 / (lengthscales * lengthscales)
-    r2 = (ls2 @ diff2.reshape(d, -1)).reshape(n, n)
-    if family == RBF:
-        K = s2 * np.exp(-0.5 * r2)
-    else:
-        rr = np.sqrt(r2)
-        decay = np.exp(-_SQRT5 * rr)
-        K = s2 * (1.0 + _SQRT5 * rr + (5.0 / 3.0) * r2) * decay
+    K, radial = _kernel_from_r2(family, s2, (ls2 @ diff2.reshape(d, -1)).reshape(n, n))
     L, jitter = factorize(K, sigma2, noise_diag)
     r = y - m
     alpha = dpotrs(L, r, lower=1)[0]
@@ -248,7 +240,6 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     # dL/dtheta = 1/2 tr(P dK~/dtheta) with P = alpha alpha' - K~^{-1}, and
     # dK/dlog l_j = radial * ls2_j * diff2_j.
     P = np.outer(alpha, alpha) - dpotrs(L, np.eye(n), lower=1)[0]
-    radial = K if family == RBF else (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * rr) * decay
     grad = np.empty(d + (3 if noise_diag is None else 2))
     grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
     grad[d] = 0.5 * float(np.vdot(P, K))
@@ -485,6 +476,48 @@ def fit(
     return _assemble(X, _unpack(best_z, d, family, with_noise), best)
 
 
+def _posterior_parts(model: GpModel, Xq, with_grad: bool):
+    """The one posterior path: the summary, then d mu/dx and d sigma2/dx
+    (None unless ``with_grad``), for posterior and posterior_grad."""
+    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    spec = model.theta.kernel
+    if Xq.shape[1] != spec.lengthscales.shape[0]:
+        raise SpaceError(
+            f"query points have {Xq.shape[1]} columns, model expects "
+            f"{spec.lengthscales.shape[0]}"
+        )
+    m = model.theta.mean.constant
+    q = Xq.shape[0]
+    if model.n == 0:
+        prior = PosteriorSummary(means=np.full(q, m), variances=np.full(q, spec.signal_variance))
+        if not with_grad:
+            return prior, None, None
+        return prior, np.zeros(Xq.shape), np.zeros(Xq.shape)
+    # Explicit differences (not the a^2+b^2-2ab trick) so that coincident
+    # points give exactly zero.  Queries sit on rows and every row is
+    # reduced by einsum, never by BLAS, whose gemv and gemm kernels round
+    # the same row differently.
+    diff = (Xq[:, None, :] - model.X[None, :, :]) / spec.lengthscales
+    kq, radial = _kernel_from_r2(spec.family, spec.signal_variance,
+                                 np.einsum("qij,qij->qi", diff, diff))
+    v = np.einsum("qi,ki->qk", kq, model.chol_inv)
+    means = m + np.einsum("qi,i->q", kq, model.alpha)
+    variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
+    worst = variances.min()
+    if worst < -1e-8:
+        warnings.warn(
+            f"posterior variance {worst} below the rounding floor", NumericsWarning
+        )
+    summary = PosteriorSummary(means, np.maximum(variances, 0.0))
+    if not with_grad:
+        return summary, None, None
+    # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*.
+    w = np.einsum("qk,ki->qi", v, model.chol_inv)
+    dmean = -np.einsum("qi,qij->qj", radial * model.alpha, diff) / spec.lengthscales
+    dvar = 2.0 * np.einsum("qi,qij->qj", radial * w, diff) / spec.lengthscales
+    return summary, dmean, dvar
+
+
 def posterior(model: GpModel, Xq) -> PosteriorSummary:
     """Predictive mean and variance of the latent function at query points.
 
@@ -498,31 +531,25 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
     An empty model returns the prior.  Computed variances below -1e-8 are
     a numerics bug, not rounding, and emit a NumericsWarning.
     """
-    Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
-    spec = model.theta.kernel
-    if Xq.shape[1] != spec.lengthscales.shape[0]:
-        raise SpaceError(
-            f"query points have {Xq.shape[1]} columns, model expects "
-            f"{spec.lengthscales.shape[0]}"
-        )
-    m = model.theta.mean.constant
-    q = Xq.shape[0]
-    if model.n == 0:
-        return PosteriorSummary(
-            means=np.full(q, m), variances=np.full(q, spec.signal_variance)
-        )
-    # Queries sit on rows and every row is reduced by einsum, never by BLAS,
-    # whose gemv and gemm kernels round the same row differently.
-    kq = _kernel_from_r2(spec, _scaled_sq_dists(spec, Xq, model.X))
-    means = m + np.einsum("qi,i->q", kq, model.alpha)
-    v = np.einsum("qi,ki->qk", kq, model.chol_inv)
-    variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
-    worst = variances.min()
-    if worst < -1e-8:
-        warnings.warn(
-            f"posterior variance {worst} below the rounding floor", NumericsWarning
-        )
-    return PosteriorSummary(means, np.maximum(variances, 0.0))
+    return _posterior_parts(model, Xq, False)[0]
+
+
+def posterior_grad(model: GpModel, Xq) -> tuple[PosteriorSummary, np.ndarray, np.ndarray]:
+    """:func:`posterior` with the gradients of the mean and the variance in x.
+
+    Returns the summary, bitwise equal to ``posterior(model, Xq)``, and
+    d mu/dx and d sigma2/dx, each of shape (q, d):
+
+        d mu/dx_j     =    sum_i dk_i/dx_j alpha_i
+        d sigma2/dx_j = -2 sum_i dk_i/dx_j (K~^{-1} k*)_i
+
+    with dk/dx_j = -k (x_j - z_j) / l_j^2 for RBF and
+    -(5/3) s2 (1 + sqrt5 r) exp(-sqrt5 r) (x_j - z_j) / l_j^2 for
+    Matern-5/2, which has no singularity at r = 0.  Batch-invariant like
+    :func:`posterior`.  The variance's gradient ignores its clamp at zero.
+    An empty model has zero gradients.
+    """
+    return _posterior_parts(model, Xq, True)
 
 
 def rsample(summary: PosteriorSummary, n: int, seed: int) -> np.ndarray:

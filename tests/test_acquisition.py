@@ -21,6 +21,8 @@ from gpbo import (
     std_normal_pdf,
 )
 
+from gpbo.acquisition import log_ei
+
 from oracles import normal_cdf_quadrature
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
@@ -106,6 +108,55 @@ class TestEi:
         base = ei(summary(mu, sd), inc)[0]
         moved = ei(summary(mu + shift, sd), inc + shift)[0]
         assert moved == pytest.approx(base, rel=1e-9, abs=1e-12)
+
+
+class TestLogEi:
+    def test_exp_matches_ei(self):
+        # Below gamma = -8 ei's own gamma Phi + phi cancels by ~gamma^4 eps
+        # (1e-10 at gamma = -29.95 against mpmath); log-EI is checked against
+        # mpmath there instead.
+        gamma = np.linspace(-8.0, 5.0, 521)
+        for sd in (0.3, 1.0, 2.5):
+            s = summary(-gamma * sd, np.full_like(gamma, sd))
+            np.testing.assert_allclose(np.exp(log_ei(s, 0.0)[0]), ei(s, 0.0), rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "gamma, log_h",
+        [(-29.95, -456.2225786995056), (-40.0, -808.29856835661996),
+         (-99.9, -5000.1325784000638), (-100.1, -5020.1365772022327),
+         (-1e3, -500014.73445209116), (-1e4, -50000019.339619307)],
+    )
+    def test_tail_matches_high_precision(self, gamma, log_h):
+        # mpmath at 60 digits.  ei underflows to 0 from gamma ~ -38 on.
+        value = log_ei(summary(-gamma, 1.0), 0.0)[0][0]
+        assert value == pytest.approx(log_h, rel=1e-15, abs=1e-12)
+
+    def test_finite_and_increasing_in_gamma(self):
+        gamma = -np.logspace(4, -3, 4000)
+        gamma = np.concatenate([gamma, np.linspace(0.0, 5.0, 500)])
+        values = log_ei(summary(-gamma, 1.0), 0.0)[0]
+        assert np.all(np.isfinite(values))
+        assert np.all(np.diff(values) > 0)
+
+    def test_partials_match_finite_differences(self):
+        rng = np.random.default_rng(3)
+        gamma = np.concatenate([rng.uniform(-150, 5, 200), [-100.0, -1.0, 0.0]])
+        sd = rng.uniform(0.05, 3.0, gamma.shape[0])
+        mu = -gamma * sd
+        _, d_mu, d_sd = log_ei(summary(mu, sd), 0.0)
+        step = 1e-6
+        fd_mu = (log_ei(summary(mu + step * sd, sd), 0.0)[0]
+                 - log_ei(summary(mu - step * sd, sd), 0.0)[0]) / (2 * step * sd)
+        fd_sd = (log_ei(summary(mu, sd * (1 + step)), 0.0)[0]
+                 - log_ei(summary(mu, sd * (1 - step)), 0.0)[0]) / (2 * step * sd)
+        np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-5)
+        np.testing.assert_allclose(d_sd, fd_sd, rtol=1e-5, atol=1e-6)
+
+    def test_sd_below_floor_is_clamped(self):
+        # The hinge's log where it is positive, and finite where it is 0.
+        values, _, _ = log_ei(summary([1.0, 3.0], [0.0, 0.0]), 2.0)
+        assert values[0] == pytest.approx(0.0, abs=1e-12)
+        assert np.isfinite(values[1]) and values[1] < -1e20
 
 
 class TestIncumbent:

@@ -21,7 +21,7 @@ from gpbo import (
     posterior,
     rsample,
 )
-from gpbo.gp import _mll_core, _pack, _sq_diffs, _unpack
+from gpbo.gp import _mll_core, _pack, _sq_diffs, _unpack, posterior_grad
 
 from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_value
 
@@ -453,6 +453,71 @@ class TestPosterior:
         model = make_model([[0.5, 0.5]], [1.0], default_hyperparams(2))
         with pytest.raises(SpaceError):
             posterior(model, [[0.5]])
+
+
+def fitted_model(family, fixed_noise, n=12, d=3, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.random((n, d))
+    y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
+    noise_diag = rng.uniform(0.01, 0.1, n) if fixed_noise else None
+    return fit(X, (y - y.mean()) / y.std(), restarts=2, seed=seed, family=family,
+               noise_diag=noise_diag)
+
+
+class TestPosteriorGrad:
+    @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
+    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    def test_matches_finite_differences(self, family, fixed_noise):
+        model = fitted_model(family, fixed_noise)
+        Xq = np.random.default_rng(1).uniform(0.05, 0.95, (8, model.d))
+        _, dmean, dvar = posterior_grad(model, Xq)
+        step = 1e-6
+        fd_mean, fd_var = np.empty_like(dmean), np.empty_like(dvar)
+        for j in range(model.d):
+            e = np.zeros(model.d)
+            e[j] = step
+            hi, lo = posterior(model, Xq + e), posterior(model, Xq - e)
+            fd_mean[:, j] = (hi.means - lo.means) / (2 * step)
+            fd_var[:, j] = (hi.variances - lo.variances) / (2 * step)
+        # Relative to each gradient's largest entry, so near-zero partials
+        # are not held to a relative bound they cannot meet.
+        for analytic, fd in ((dmean, fd_mean), (dvar, fd_var)):
+            np.testing.assert_allclose(analytic, fd, rtol=1e-5, atol=1e-5 * np.abs(fd).max())
+
+    def test_matern_gradient_smooth_at_training_point(self):
+        # (1 + sqrt5 r) exp(-sqrt5 r) has no 1/r term, so a query on a
+        # training input gets a finite gradient.
+        model = fitted_model("matern52", False)
+        _, dmean, dvar = posterior_grad(model, model.X[:3])
+        assert np.all(np.isfinite(dmean)) and np.all(np.isfinite(dvar))
+
+    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    def test_summary_is_posterior_bitwise(self, family):
+        model = fitted_model(family, False)
+        Xq = np.random.default_rng(2).random((40, model.d))
+        summary, _, _ = posterior_grad(model, Xq)
+        reference = posterior(model, Xq)
+        np.testing.assert_array_equal(summary.means, reference.means)
+        np.testing.assert_array_equal(summary.variances, reference.variances)
+
+    @pytest.mark.parametrize("n,d", [(5, 2), (24, 3), (60, 5)])
+    def test_batch_invariant(self, n, d):
+        model = fitted_model("matern52", False, n=n, d=d, seed=n)
+        Q = np.random.default_rng(3).random((8, d))
+        summary, dmean, dvar = posterior_grad(model, Q)
+        for i in range(8):
+            one, dm, dv = posterior_grad(model, Q[i:i + 1])
+            assert one.means[0] == summary.means[i]
+            assert one.variances[0] == summary.variances[i]
+            np.testing.assert_array_equal(dm[0], dmean[i])
+            np.testing.assert_array_equal(dv[0], dvar[i])
+
+    def test_empty_model_has_zero_gradient(self):
+        model = make_model(np.empty((0, 2)), [], default_hyperparams(2))
+        summary, dmean, dvar = posterior_grad(model, [[0.3, 0.7], [0.9, 0.1]])
+        np.testing.assert_array_equal(summary.variances, [1.0, 1.0])
+        np.testing.assert_array_equal(dmean, np.zeros((2, 2)))
+        np.testing.assert_array_equal(dvar, np.zeros((2, 2)))
 
 
 class TestRsample:
