@@ -1,10 +1,11 @@
 """Unscrambled Sobol low-discrepancy sequences for dimensions 1 through 21.
 
 Gray-code construction: each point is the previous one XORed with the
-direction integer selected by the index's lowest zero bit, so consecutive
-draws are O(d).  The direction integers come from the checked-in
-``sobol_directions.txt`` table (Joe & Kuo values); the first dimension is
-the bit-halving sequence 1/2, 1/4, 3/4, ...
+direction integer selected by the index's lowest zero bit, so a draw of n
+points is one cumulative XOR over n selected direction columns.  The
+direction integers come from the checked-in ``sobol_directions.txt``
+table (Joe & Kuo values); the first dimension is the bit-halving
+sequence 1/2, 1/4, 3/4, ...
 
 The all-zeros point at index 0 is never emitted: the stream starts at
 (0.5, ..., 0.5).  Corner points are degenerate for log-scaled decodes.
@@ -107,16 +108,13 @@ def sobol_next(engine: SobolEngine, n: int) -> np.ndarray:
         raise UsageError(f"must draw at least one point, got n={n}")
     if engine.index + n >= 1 << _BITS:
         raise UsageError("Sobol stream exhausted (2^32 draws)")
-    out = np.empty((n, engine.dimension), dtype=float)
-    state = engine._state
-    for i in range(n):
-        # Lowest zero bit of the previous index picks the direction integer.
-        idx = engine.index
-        c = 1
-        while idx & 1:
-            idx >>= 1
-            c += 1
-        state ^= engine._v[:, c]
-        out[i] = state / _SCALE
-        engine.index += 1
-    return out
+    # The lowest zero bit of each previous index i picks direction column c,
+    # and i ^ (i + 1) has exactly c set bits.  The running XOR over those
+    # columns, seeded with the state, gives the n points in one pass.
+    idx = np.arange(engine.index, engine.index + n, dtype=np.uint64)
+    steps = engine._v[:, np.bitwise_count(idx ^ (idx + np.uint64(1)))].T
+    steps[0] ^= engine._state
+    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+    engine._state = steps[-1].copy()
+    engine.index += n
+    return steps / _SCALE

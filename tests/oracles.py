@@ -122,6 +122,28 @@ def sobol_reference(dimension: int, n: int, table_path, bits: int = 32) -> np.nd
     return out
 
 
+def sobol_next_loop(engine, n: int) -> np.ndarray:
+    """The engine's next n points by the per-point Gray-code loop.
+
+    Each point XORs the state with the direction column picked by the
+    lowest zero bit of the previous index, one point at a time; advances
+    ``engine`` exactly as ``sobol_next`` does.
+    """
+    out = np.empty((n, engine.dimension))
+    state = engine._state.copy()
+    for i in range(n):
+        idx = engine.index
+        c = 1
+        while idx & 1:
+            idx >>= 1
+            c += 1
+        state ^= engine._v[:, c]
+        out[i] = state / float(1 << 32)
+        engine.index += 1
+    engine._state = state
+    return out
+
+
 def branin_value(x1: float, x2: float) -> float:
     b = 5.1 / (4.0 * math.pi**2)
     c = 5.0 / math.pi

@@ -8,7 +8,7 @@ import pytest
 import gpbo.sobol
 from gpbo import SobolEngine, UsageError, sobol_next
 
-from oracles import sobol_reference
+from oracles import sobol_next_loop, sobol_reference
 
 TABLE = Path(gpbo.sobol.__file__).with_name("sobol_directions.txt")
 
@@ -67,6 +67,25 @@ class TestRangeAndState:
                 slow.next(skip)
             fast = SobolEngine(3).fast_forward(skip)
             np.testing.assert_array_equal(slow.next(4), fast.next(4))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 21])
+    @pytest.mark.parametrize("offset", [0, 1, 4095, 2**30])
+    @pytest.mark.parametrize("n", [1, 7, 1024])
+    def test_matches_per_point_gray_code_loop(self, d, offset, n):
+        fast = SobolEngine(d).fast_forward(offset)
+        slow = SobolEngine(d).fast_forward(offset)
+        np.testing.assert_array_equal(fast.next(n), sobol_next_loop(slow, n))
+        assert fast.index == slow.index
+        np.testing.assert_array_equal(fast._state, slow._state)
+        # The engine's state after the draw carries the stream on bitwise.
+        np.testing.assert_array_equal(fast.next(3), sobol_next_loop(slow, 3))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 21])
+    def test_three_then_five_equals_eight(self, d):
+        a = SobolEngine(d).fast_forward(4095)
+        np.testing.assert_array_equal(
+            np.vstack([a.next(3), a.next(5)]), SobolEngine(d).fast_forward(4095).next(8)
+        )
 
     def test_dimension_bounds(self):
         with pytest.raises(UsageError):
