@@ -46,16 +46,37 @@ def std_normal_cdf(z):
     return ndtr(z)
 
 
+def _tail(gamma):
+    """r = Phi/phi and h/phi = 1 - |gamma| r at |gamma| clamped to >= 1.
+
+    Both go through erfcx, so neither cancels in the left tail where
+    gamma Phi + phi does.  Below gamma = -_FAR (-100), h/phi is replaced by
+    its asymptotic series (1 - 3/g^2 + 15/g^4 - 105/g^6) / g^2.  Only the
+    entries with gamma <= -1 are meant to be read.
+    """
+    x = np.maximum(-gamma, 1.0)
+    r = _SQRT_HALF_PI * erfcx(x / np.sqrt(2.0))
+    xf2 = np.maximum(x, _FAR) ** -2
+    far = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
+    # x r >= 0.65 for x >= 1, so 1 - x r is exact.
+    return r, np.where(x > _FAR, far, 1.0 - x * r)
+
+
 def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
-    """Closed-form expected improvement below the incumbent, per point."""
+    """Closed-form expected improvement below the incumbent, per point.
+
+    For gamma <= -1 the bracket is evaluated as phi(gamma) (h/phi) through
+    :func:`_tail`, which keeps full relative accuracy until EI underflows.
+    """
     mu = summary.means
     sigma = np.sqrt(summary.variances)
     degenerate = sigma < _SIGMA_FLOOR
     safe_sigma = np.where(degenerate, 1.0, sigma)
     gamma = (incumbent - mu) / safe_sigma
-    values = safe_sigma * (gamma * std_normal_cdf(gamma) + std_normal_pdf(gamma))
+    pdf = std_normal_pdf(gamma)
+    h = np.where(gamma <= -1.0, pdf * _tail(gamma)[1], gamma * std_normal_cdf(gamma) + pdf)
     limit = np.maximum(incumbent - mu, 0.0)
-    return np.maximum(np.where(degenerate, limit, values), 0.0)
+    return np.maximum(np.where(degenerate, limit, safe_sigma * h), 0.0)
 
 
 def log_ei(summary: PosteriorSummary, incumbent: float):
@@ -66,23 +87,16 @@ def log_ei(summary: PosteriorSummary, incumbent: float):
     where :func:`ei` underflows to 0.  Below the floor sigma is clamped to
     it, which keeps log EI finite and, where the hinge is positive, equal
     to its log up to rounding.  h' = Phi, so d log h / d gamma = Phi / h.
-    For gamma <= -1 both go through r = Phi/phi = sqrt(pi/2) erfcx(|gamma|/sqrt2)
-    and h/phi = 1 - |gamma| r, which below gamma = -_FAR (-100) is
-    replaced by its asymptotic series (1 - 3/g^2 + 15/g^4 - 105/g^6) / g^2.
-    Returns (values, d/dmu, d/dsigma).
+    For gamma <= -1 both go through :func:`_tail`: log h is
+    -gamma^2/2 - log sqrt(2 pi) + log(h/phi) and d log h / d gamma is
+    r / (h/phi).  Returns (values, d/dmu, d/dsigma).
     """
     sigma = np.maximum(np.sqrt(summary.variances), _SIGMA_FLOOR)
     gamma = (incumbent - summary.means) / sigma
     near = np.maximum(gamma, -1.0)
     cdf = std_normal_cdf(near)
     h = near * cdf + std_normal_pdf(near)
-    x = np.maximum(-gamma, 1.0)
-    r = _SQRT_HALF_PI * erfcx(x / np.sqrt(2.0))
-    xf2 = np.maximum(x, _FAR) ** -2
-    far = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
-    # h / phi.  x r >= 0.65 for x >= 1, so 1 - x r is exact and its log is
-    # log1p(-x r).
-    ratio = np.where(x > _FAR, far, 1.0 - x * r)
+    r, ratio = _tail(gamma)
     tail = gamma <= -1.0
     log_h = np.where(tail, -0.5 * gamma * gamma - _HALF_LOG_2PI + np.log(ratio), np.log(h))
     dlog_h = np.where(tail, r / ratio, cdf / h)

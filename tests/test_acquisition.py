@@ -94,6 +94,17 @@ class TestEi:
         value = ei(summary(-gamma, 1.0), incumbent=0.0)[0]
         assert math.log(value) == pytest.approx(log_h, rel=1e-10)
 
+    @pytest.mark.parametrize(
+        "gamma, h",
+        [(-10.0, 7.4745602545893280366e-25), (-20.0, 1.3700124947295799431e-90),
+         (-29.95, 7.3291152521118129024e-199)],
+    )
+    def test_far_tail_matches_high_precision(self, gamma, h):
+        # gamma Phi(gamma) + phi(gamma) from mpmath at 50 digits.  Summed
+        # directly it cancels by ~gamma^4 eps: 1.4e-12 relative at -10 and
+        # 1.0e-10 at -29.95.
+        np.testing.assert_allclose(ei(summary(-gamma, 1.0), 0.0)[0], h, rtol=1e-12)
+
     def test_increasing_in_sd_at_fixed_mean(self):
         # dEI/dsigma = pdf(gamma) > 0: more uncertainty, more improvement.
         for gamma in np.linspace(-3, 3, 13):
@@ -112,10 +123,8 @@ class TestEi:
 
 class TestLogEi:
     def test_exp_matches_ei(self):
-        # Below gamma = -8 ei's own gamma Phi + phi cancels by ~gamma^4 eps
-        # (1e-10 at gamma = -29.95 against mpmath); log-EI is checked against
-        # mpmath there instead.
-        gamma = np.linspace(-8.0, 5.0, 521)
+        # Down to gamma = -30; ei underflows to 0 from about -38 on.
+        gamma = np.linspace(-30.0, 5.0, 1401)
         for sd in (0.3, 1.0, 2.5):
             s = summary(-gamma * sd, np.full_like(gamma, sd))
             np.testing.assert_allclose(np.exp(log_ei(s, 0.0)[0]), ei(s, 0.0), rtol=1e-12)
