@@ -23,7 +23,9 @@ from a previous theta, of the log marginal likelihood
                           - sum_i log L_ii - N/2 log(2 pi)
 
 using the analytic gradient over log-parameters and a bounded
-quasi-Newton local method (L-BFGS-B).
+quasi-Newton local method (L-BFGS-B).  The fit keeps the best
+hyperparameters, factor and alpha that any start's evaluations reached,
+so nothing is re-scored after the runs.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 from scipy.optimize import minimize
 
 from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
@@ -140,16 +142,29 @@ class PosteriorSummary:
 
 
 def _kernel_from_r2(family: str, s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k on scaled squared distances r2, and its radial factor -2 dk/d(r2)."""
+    """k on scaled squared distances r2, and its radial factor -2 dk/d(r2).
+
+    Matern-5/2 takes one sqrt and one exp and builds both outputs in place:
+    with a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (a + 5/3 r2) e and
+    the radial factor is 5/3 a e.
+    """
     if family == RBF:
-        K = s2 * np.exp(-0.5 * r2)
+        K = np.multiply(r2, -0.5)
+        np.exp(K, out=K)
+        K *= s2
         return K, K
-    r = np.sqrt(r2)
-    decay = np.exp(-_SQRT5 * r)
-    return (
-        s2 * (1.0 + _SQRT5 * r + (5.0 / 3.0) * r2) * decay,
-        (5.0 / 3.0) * s2 * (1.0 + _SQRT5 * r) * decay,
-    )
+    a = np.sqrt(r2)
+    a *= _SQRT5
+    e = np.negative(a)
+    np.exp(e, out=e)
+    e *= s2
+    a += 1.0
+    K = np.multiply(r2, 5.0 / 3.0)
+    K += a
+    K *= e
+    a *= e
+    a *= 5.0 / 3.0
+    return K, a
 
 
 def _jitters(K: np.ndarray):
@@ -174,21 +189,21 @@ def factorize(K: np.ndarray, noise_variance: float, noise_diag: np.ndarray | Non
     actually used).
     """
     K = np.asarray(K, dtype=float)
-    idx = np.arange(K.shape[0])
     A = K.copy()
+    diag = A.reshape(-1)[:: A.shape[0] + 1]
     if noise_diag is None:
-        A[idx, idx] += noise_variance
+        diag += noise_variance
     else:
-        A[idx, idx] += noise_variance + np.asarray(noise_diag, dtype=float)
+        diag += noise_variance + np.asarray(noise_diag, dtype=float)
     previous = 0.0
     for jitter in _jitters(K):
         if jitter != previous:
-            A[idx, idx] += jitter - previous
+            diag += jitter - previous
             previous = jitter
         L, info = dpotrf(A, lower=1)
         if info == 0:
             return L, jitter
-    A[idx, idx] -= previous
+    diag -= previous
     eigs = np.linalg.eigvalsh(A)
     raise NumericalError(
         "covariance not positive definite at maximum jitter",
@@ -231,20 +246,27 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     alpha = dpotrs(L, r, lower=1)[0]
     value = (
         -0.5 * float(r @ alpha)
-        - float(np.sum(np.log(np.einsum("ii->i", L))))
+        - float(np.log(L.diagonal()).sum())
         - 0.5 * n * _LOG_2PI
     )
     if not with_grad:
         return _MllParts(value, None, L, alpha, jitter)
 
     # dL/dtheta = 1/2 tr(P dK~/dtheta) with P = alpha alpha' - K~^{-1}, and
-    # dK/dlog l_j = radial * ls2_j * diff2_j.
-    P = np.outer(alpha, alpha) - dpotrs(L, np.eye(n), lower=1)[0]
+    # dK/dlog l_j = radial * ls2_j * diff2_j.  K~^{-1} = W'W with W = L^{-1}
+    # from dtrtri; numpy forms W'W by one symmetric rank-k update, so it is
+    # exactly symmetric.  (dpotri's product step rounds differently with
+    # more than one OpenBLAS thread, which would break thread-count replay.)
+    W = dtrtri(L, lower=1)[0]
+    P = np.outer(alpha, alpha)
+    P -= W.T @ W
     grad = np.empty(d + (3 if noise_diag is None else 2))
-    grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
     grad[d] = 0.5 * float(np.vdot(P, K))
+    # For RBF radial is K itself, so it is scaled only after K's last use.
+    radial *= P
+    grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ radial.ravel())
     if noise_diag is None:
-        grad[d + 1] = 0.5 * sigma2 * float(np.trace(P))
+        grad[d + 1] = 0.5 * sigma2 * float(P.trace())
     grad[-1] = float(np.sum(alpha))
     return _MllParts(value, grad, L, alpha, jitter)
 
@@ -378,13 +400,16 @@ def fit(
     """Fit hyperparameters by multi-start maximum marginal likelihood.
 
     Each start runs bounded L-BFGS-B (max 200 iterations, projected
-    gradient tolerance 1e-6) on the negative mll over log-parameters; the
-    best final value wins, ties broken by the lowest start index.  The
-    default hyperparameters are always start 0, so the fitted mll is never
-    worse than theirs.  A warm ``start`` (typically the previous fit's
-    theta on a history one observation shorter), clipped into the bounds,
-    is start 1, so the fitted mll is never worse than its mll either; then
-    come ``restarts - 1`` Sobol starts.  The returned model keeps the
+    gradient tolerance 1e-6) on the negative mll over log-parameters.  The
+    objective keeps the best point it has evaluated, with its factor and
+    alpha, so the largest mll any start reached wins, ties going to the
+    earliest evaluation; nothing is re-scored afterwards.  L-BFGS-B
+    evaluates each start before it moves, and the default hyperparameters
+    are always start 0, so the fitted mll is never worse than theirs.  A
+    warm ``start`` (typically the previous fit's theta on a history one
+    observation shorter), clipped into the bounds, is start 1, so the
+    fitted mll is never worse than its mll either; then come
+    ``restarts - 1`` Sobol starts.  The returned model keeps the
     factorization computed at the winning hyperparameters, which
     ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
 
@@ -426,29 +451,31 @@ def fit(
         given.append(np.clip(_pack(start, with_noise), lo, hi))
     diff2 = _sq_diffs(X)
     failed = (1e25, np.zeros(len(bounds)))
-
-    def evaluate(z, with_grad):
-        # The same arithmetic as _unpack, so make_model(X, y, theta) at the
-        # winning z reproduces the fitted model bitwise.
-        sigma2 = math.exp(z[d + 1]) if with_noise else 0.0
-        return _mll_core(
-            diff2, y, family, np.exp(z[:d]), math.exp(z[d]), sigma2, z[-1], nd, with_grad
-        )
+    best_z, best = None, None
 
     def objective(z):
+        # The same arithmetic as _unpack, so make_model(X, y, theta) at the
+        # winning z reproduces the fitted model bitwise.
+        nonlocal best_z, best
+        sigma2 = math.exp(z[d + 1]) if with_noise else 0.0
         try:
-            parts = evaluate(z, True)
+            parts = _mll_core(
+                diff2, y, family, np.exp(z[:d]), math.exp(z[d]), sigma2, z[-1], nd, True
+            )
         except NumericalError:
             return failed
         if not np.isfinite(parts.value):
             return failed
+        # L-BFGS-B evaluates each start before it moves, so keeping the
+        # largest mll evaluated makes the fit never worse than any start.
+        if best is None or parts.value > best.value:
+            best_z, best = np.array(z), parts
         return -parts.value, -parts.grad
 
-    best_z, best = None, None
     failures = []
     for idx, z0 in enumerate(_start_points(lo, hi, restarts, seed, given)):
         try:
-            res = minimize(
+            minimize(
                 objective,
                 z0,
                 jac=True,
@@ -456,19 +483,8 @@ def fit(
                 bounds=bounds,
                 options={"maxiter": 200, "gtol": 1e-6},
             )
-            candidates = (res.x, z0)
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"restart {idx}: {exc}")
-            candidates = (z0,)
-        # Keeping the start point as a candidate guarantees the fitted mll
-        # is at least the mll at every start used.
-        for z in candidates:
-            try:
-                parts = evaluate(z, False)
-            except NumericalError:
-                continue
-            if np.isfinite(parts.value) and (best is None or parts.value > best.value):
-                best_z, best = np.array(z), parts
     if best is None:
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}

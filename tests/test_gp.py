@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import gpbo.gp
 from gpbo import (
     GpHyperparams,
     KernelSpec,
@@ -199,7 +200,7 @@ class TestMll:
         assert mll(theta, X, y, noise_diag=noise_diag) == pytest.approx(expected, rel=1e-10)
 
 
-def finite_difference_grad(theta, X, y, with_noise=True, step=1e-5):
+def finite_difference_grad(theta, X, y, with_noise=True, step=1e-5, noise_diag=None):
     d = X.shape[1]
     z0 = _pack(theta, with_noise)
     family = theta.kernel.family
@@ -208,8 +209,8 @@ def finite_difference_grad(theta, X, y, with_noise=True, step=1e-5):
         zp, zm = z0.copy(), z0.copy()
         zp[i] += step
         zm[i] -= step
-        fp = mll(_unpack(zp, d, family, with_noise), X, y)
-        fm = mll(_unpack(zm, d, family, with_noise), X, y)
+        fp = mll(_unpack(zp, d, family, with_noise), X, y, noise_diag)
+        fm = mll(_unpack(zm, d, family, with_noise), X, y, noise_diag)
         grad[i] = (fp - fm) / (2 * step)
     return grad
 
@@ -242,6 +243,31 @@ class TestMllGrad:
         y = np.array([1.0, 2.0, 2.0])
         g = mll_grad(theta, X, y)
         assert g[0] == pytest.approx(g[1], rel=1e-12, abs=1e-12)
+
+
+    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    def test_matches_finite_differences_under_jitter(self, family):
+        # N = 60 from 30 noise-free duplicated rows: K is singular, so the
+        # ladder adds jitter.  The finite differences hold that jitter fixed
+        # by passing it as the noise diagonal, which factorizes the same
+        # matrix with no jitter and gives the same analytic gradient.
+        rng = np.random.default_rng(60)
+        for _ in range(5):
+            X, y = rng.random((30, 2)), rng.standard_normal(30)
+            X, y = np.tile(X, (2, 1)), np.tile(y, 2)
+            theta = GpHyperparams(
+                KernelSpec(family, rng.uniform(0.1, 0.3, 2), float(rng.uniform(0.5, 2.0))),
+                MeanSpec(float(rng.uniform(-0.5, 0.5))), 0.0,
+            )
+            zeros = np.zeros(60)
+            jitter = make_model(X, y, theta, zeros).jitter_used
+            assert jitter > 0.0
+            held = np.full(60, jitter)
+            assert make_model(X, y, theta, held).jitter_used == 0.0
+            analytic = mll_grad(theta, X, y, zeros)
+            np.testing.assert_array_equal(analytic, mll_grad(theta, X, y, held))
+            fd = finite_difference_grad(theta, X, y, with_noise=False, step=1e-4, noise_diag=held)
+            assert np.abs(analytic - fd).max() < 1e-4 * np.abs(fd).max()
 
 
 class TestFit:
@@ -278,6 +304,40 @@ class TestFit:
             jitters.append(model.jitter_used)
         if case == "duplicated":
             assert min(jitters) > 0.0
+
+    @pytest.mark.parametrize("fixed_noise", [False, True])
+    def test_one_core_call_per_optimizer_evaluation(self, monkeypatch, fixed_noise):
+        # fit keeps the best point the objective has evaluated, so it makes
+        # no _mll_core call beyond the nfev of its L-BFGS-B runs, and the
+        # fitted mll is bitwise the largest value the objective saw.
+        real_core, real_minimize = gpbo.gp._mll_core, gpbo.gp.minimize
+        calls, values, nfevs = [], [], []
+
+        def core(*args):
+            calls.append(args)
+            parts = real_core(*args)
+            values.append(parts.value)
+            return parts
+
+        def counted_minimize(*args, **kwargs):
+            res = real_minimize(*args, **kwargs)
+            nfevs.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(gpbo.gp, "_mll_core", core)
+        monkeypatch.setattr(gpbo.gp, "minimize", counted_minimize)
+        rng = np.random.default_rng(19)
+        for _ in range(3):
+            n, d = int(rng.integers(5, 40)), int(rng.integers(1, 4))
+            X, y = rng.random((n, d)), rng.standard_normal(n)
+            noise_diag = rng.uniform(0.01, 0.2, n) if fixed_noise else None
+            for log in (calls, values, nfevs):
+                log.clear()
+            model = fit(X, y, restarts=3, seed=2, noise_diag=noise_diag, start=random_theta(rng, d))
+            assert len(nfevs) == 4
+            assert len(calls) == sum(nfevs)
+            best = max(v for v in values if np.isfinite(v))
+            assert mll(model.theta, X, y, noise_diag=noise_diag) == best
 
     @pytest.mark.parametrize("fixed_noise", [False, True])
     def test_warm_start_never_worse_than_start_or_default(self, fixed_noise):
