@@ -26,6 +26,7 @@ _SIGMA_FLOOR = 1e-12
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
 _HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _SQRT_HALF_PI = np.sqrt(0.5 * np.pi)
+_SQRT2 = np.sqrt(2.0)
 # Below -_FAR, 1 - |gamma| Phi(gamma)/phi(gamma) loses more digits to
 # cancellation (eps gamma^2 relative) than the truncated series drops.
 _FAR = 100.0
@@ -55,11 +56,14 @@ def _tail(gamma):
     entries with gamma <= -1 are meant to be read.
     """
     x = np.maximum(-gamma, 1.0)
-    r = _SQRT_HALF_PI * erfcx(x / np.sqrt(2.0))
-    xf2 = np.maximum(x, _FAR) ** -2
-    far = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
+    r = _SQRT_HALF_PI * erfcx(x / _SQRT2)
     # x r >= 0.65 for x >= 1, so 1 - x r is exact.
-    return r, np.where(x > _FAR, far, 1.0 - x * r)
+    ratio = 1.0 - x * r
+    far = x > _FAR
+    if far.any():
+        xf2 = x[far] ** -2
+        ratio[far] = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
+    return r, ratio
 
 
 def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
