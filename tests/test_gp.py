@@ -244,7 +244,6 @@ class TestMllGrad:
         g = mll_grad(theta, X, y)
         assert g[0] == pytest.approx(g[1], rel=1e-12, abs=1e-12)
 
-
     @pytest.mark.parametrize("family", ["matern52", "rbf"])
     def test_matches_finite_differences_under_jitter(self, family):
         # N = 60 from 30 noise-free duplicated rows: K is singular, so the
