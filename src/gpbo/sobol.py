@@ -109,10 +109,12 @@ def sobol_next(engine: SobolEngine, n: int) -> np.ndarray:
     if engine.index + n >= 1 << _BITS:
         raise UsageError("Sobol stream exhausted (2^32 draws)")
     # The lowest zero bit of each previous index i picks direction column c,
-    # and i ^ (i + 1) has exactly c set bits.  The running XOR over those
-    # columns, seeded with the state, gives the n points in one pass.
+    # and i ^ (i + 1) = 2^c - 1 with c <= 32, so frexp of 2^c gives exponent
+    # c + 1, exactly.  The running XOR over those columns, seeded with the
+    # state, gives the n points in one pass.
     idx = np.arange(engine.index, engine.index + n, dtype=np.uint64)
-    steps = engine._v[:, np.bitwise_count(idx ^ (idx + np.uint64(1)))].T
+    cols = np.frexp((idx ^ (idx + np.uint64(1))).astype(float) + 1.0)[1] - 1
+    steps = engine._v[:, cols].T
     steps[0] ^= engine._state
     np.bitwise_xor.accumulate(steps, axis=0, out=steps)
     engine._state = steps[-1].copy()
