@@ -78,7 +78,11 @@ def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
     safe_sigma = np.where(degenerate, 1.0, sigma)
     gamma = (incumbent - mu) / safe_sigma
     pdf = std_normal_pdf(gamma)
-    h = np.where(gamma <= -1.0, pdf * _tail(gamma)[1], gamma * std_normal_cdf(gamma) + pdf)
+    # Most scored points lie in the left tail, so the tail form is taken
+    # everywhere and gamma Phi + phi only where gamma > -1.
+    h = pdf * _tail(gamma)[1]
+    near = gamma > -1.0
+    h[near] = gamma[near] * std_normal_cdf(gamma[near]) + pdf[near]
     limit = np.maximum(incumbent - mu, 0.0)
     return np.maximum(np.where(degenerate, limit, safe_sigma * h), 0.0)
 
