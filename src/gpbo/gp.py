@@ -144,27 +144,17 @@ class PosteriorSummary:
 def _kernel_from_r2(family: str, s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k on scaled squared distances r2, and its radial factor -2 dk/d(r2).
 
-    Matern-5/2 takes one sqrt and one exp and builds both outputs in place:
-    with a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (a + 5/3 r2) e and
-    the radial factor is 5/3 a e.
+    Matern-5/2 takes one sqrt and one exp: with a = 1 + sqrt5 r and
+    e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e and the radial factor is
+    5/3 a e.
     """
     if family == RBF:
-        K = np.multiply(r2, -0.5)
-        np.exp(K, out=K)
-        K *= s2
+        K = s2 * np.exp(-0.5 * r2)
         return K, K
-    a = np.sqrt(r2)
-    a *= _SQRT5
-    e = np.negative(a)
-    np.exp(e, out=e)
-    e *= s2
-    a += 1.0
-    K = np.multiply(r2, 5.0 / 3.0)
-    K += a
-    K *= e
-    a *= e
-    a *= 5.0 / 3.0
-    return K, a
+    r = np.sqrt(r2)
+    a = 1.0 + _SQRT5 * r
+    e = s2 * np.exp(-_SQRT5 * r)
+    return ((5.0 / 3.0) * r2 + a) * e, (5.0 / 3.0) * (a * e)
 
 
 def _jitters(K: np.ndarray):
@@ -261,10 +251,8 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     P = np.outer(alpha, alpha)
     P -= W.T @ W
     grad = np.empty(d + (3 if noise_diag is None else 2))
+    grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
     grad[d] = 0.5 * float(np.vdot(P, K))
-    # For RBF radial is K itself, so it is scaled only after K's last use.
-    radial *= P
-    grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ radial.ravel())
     if noise_diag is None:
         grad[d + 1] = 0.5 * sigma2 * float(P.trace())
     grad[-1] = float(np.sum(alpha))
