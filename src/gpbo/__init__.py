@@ -41,21 +41,18 @@ from .gp import (
 from .loop import (
     BestResult,
     Experiment,
-    GenerationStrategy,
     GeneratorKind,
     NoCompletedTrialsError,
     Trial,
     TrialStatus,
-    attach_arm,
     best_result,
     complete_trial,
     fail_trial,
     new_experiment,
     optimize,
-    start_trial,
     suggest,
 )
-from .sobol import SobolEngine, sobol_next
+from .sobol import SobolEngine
 from .space import (
     Arm,
     Observation,
@@ -79,7 +76,6 @@ __all__ = [
     "DomainError",
     "EvaluatorFault",
     "Experiment",
-    "GenerationStrategy",
     "GeneratorKind",
     "GpboError",
     "GpHyperparams",
@@ -99,7 +95,6 @@ __all__ = [
     "Trial",
     "TrialStatus",
     "UsageError",
-    "attach_arm",
     "best_result",
     "complete_trial",
     "decode",
@@ -119,8 +114,6 @@ __all__ = [
     "optimize",
     "posterior",
     "rsample",
-    "sobol_next",
-    "start_trial",
     "std_normal_cdf",
     "std_normal_pdf",
     "suggest",

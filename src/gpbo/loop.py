@@ -1,14 +1,15 @@
 """The sequential optimization loop: experiments, trials, and optimize().
 
 One experiment owns one search space and an ordered list of trials, each
-evaluating a single arm.  Generation is Sobol for the first ``init_arms``
-completed trials and GP-EI afterwards: fit the surrogate on the completed
-history (encoded inputs, standardized outputs, always minimizing
-internally) with 3 cold restarts plus a warm start from the hyperparameters
-of the most recent fit, take the smallest posterior mean at an observed
-point as the incumbent, and propose the EI maximizer.  Degenerate
-proposals and fit failures fall back to the next Sobol point rather than
-aborting.
+evaluating a single arm.  A trial opens RUNNING when :func:`suggest`
+creates it and closes through :func:`complete_trial` or :func:`fail_trial`.
+Generation is Sobol for the first ``INIT_ARMS`` completed trials and GP-EI
+afterwards: fit the surrogate on the completed history (encoded inputs,
+standardized outputs, always minimizing internally) with 3 cold restarts
+plus a warm start from the hyperparameters of the most recent fit, take
+the smallest posterior mean at an observed point as the incumbent, and
+propose the EI maximizer.  Degenerate proposals and fit failures fall
+back to the next Sobol point rather than aborting.
 
 Maximization is handled entirely at this boundary by negating objectives
 on the way in and back out, so every inner computation minimizes.
@@ -45,6 +46,7 @@ from .version import __version__
 logger = logging.getLogger("gpbo.loop")
 
 DUPLICATE_TOLERANCE = 1e-9
+INIT_ARMS = 5
 FIT_RESTARTS = 3
 
 
@@ -57,7 +59,6 @@ class NoCompletedTrialsError(UsageError):
 
 
 class TrialStatus(str, Enum):
-    CANDIDATE = "CANDIDATE"
     RUNNING = "RUNNING"
     COMPLETED = "COMPLETED"
     FAILED = "FAILED"
@@ -66,21 +67,6 @@ class TrialStatus(str, Enum):
 class GeneratorKind(str, Enum):
     SOBOL = "SOBOL"
     GPEI = "GPEI"
-    MANUAL = "MANUAL"
-
-
-@dataclass(frozen=True)
-class GenerationStrategy:
-    """Sobol-then-GPEI schedule; one arm per trial."""
-
-    init_arms: int = 5
-    total_trials: int = 20
-
-    def __post_init__(self):
-        if self.total_trials < 1:
-            raise UsageError("total_trials must be >= 1")
-        if self.init_arms < 0 or self.init_arms > self.total_trials:
-            raise UsageError("init_arms must be in [0, total_trials]")
 
 
 @dataclass
@@ -123,7 +109,6 @@ class Experiment:
     minimize: bool
     seed: int
     trials: list[Trial] = field(default_factory=list)
-    standardizer: Standardizer | None = None
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -237,7 +222,6 @@ def _history_model(
     y_raw = np.array([t.observation.objective for t in completed])
     y_internal = y_raw if experiment.minimize else -y_raw
     standardizer = fit_standardizer(y_internal)
-    experiment.standardizer = standardizer
     y_std = standardizer.apply(y_internal)
     sems = [t.observation.sem for t in completed]
     if all(s is not None for s in sems):
@@ -257,25 +241,26 @@ def _history_model(
     return model, standardizer
 
 
-def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) -> Trial:
-    """Propose the next trial: Sobol while initializing, then GP-EI.
+def suggest(experiment: Experiment, total_trials: int = 20) -> Trial:
+    """Open the next trial as RUNNING: Sobol while fewer than ``INIT_ARMS``
+    trials have completed, then GP-EI.
 
-    A GP-EI proposal whose decoded arm lies within 1e-9 (max norm,
-    encoded) of an existing arm, or a failed GP fit, falls back to the
-    next Sobol point.
+    Raises UsageError while another trial is open, or once ``total_trials``
+    trials that did not fail have been opened.  A GP-EI proposal whose
+    decoded arm lies within 1e-9 (max norm, encoded) of an existing arm,
+    or a failed GP fit, falls back to the next Sobol point.
     """
-    strategy = strategy if strategy is not None else GenerationStrategy()
-    if any(t.status in (TrialStatus.CANDIDATE, TrialStatus.RUNNING) for t in experiment.trials):
+    if any(t.status == TrialStatus.RUNNING for t in experiment.trials):
         raise UsageError("an open trial exists; complete or fail it before suggesting")
     started = sum(1 for t in experiment.trials if t.status != TrialStatus.FAILED)
-    if started >= strategy.total_trials:
-        raise UsageError(f"trial budget of {strategy.total_trials} exhausted")
+    if started >= total_trials:
+        raise UsageError(f"trial budget of {total_trials} exhausted")
     index = len(experiment.trials)
     completed = experiment.completed()
     generator = GeneratorKind.SOBOL
     metadata: dict = {}
     theta = None
-    if len(completed) < strategy.init_arms or not completed:
+    if len(completed) < INIT_ARMS:
         arm, x = _next_sobol_arm(experiment, index)
     else:
         try:
@@ -297,7 +282,7 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
     trial = Trial(
         index=index,
         arm=arm,
-        status=TrialStatus.CANDIDATE,
+        status=TrialStatus.RUNNING,
         generator=generator,
         encoded=x,
         metadata=metadata,
@@ -307,36 +292,11 @@ def suggest(experiment: Experiment, strategy: GenerationStrategy | None = None) 
     return trial
 
 
-def attach_arm(experiment: Experiment, arm: Arm) -> Trial:
-    """Insert a user-chosen arm as a MANUAL candidate trial."""
-    if any(t.status in (TrialStatus.CANDIDATE, TrialStatus.RUNNING) for t in experiment.trials):
-        raise UsageError("an open trial exists; complete or fail it before attaching")
-    trial = Trial(
-        index=len(experiment.trials),
-        arm=arm,
-        status=TrialStatus.CANDIDATE,
-        generator=GeneratorKind.MANUAL,
-        encoded=encode(arm, experiment.space),  # also validates the arm
-    )
-    experiment.trials.append(trial)
-    return trial
-
-
-def start_trial(experiment: Experiment, index: int) -> Trial:
-    trial = _get_trial(experiment, index)
-    if trial.status != TrialStatus.CANDIDATE:
-        raise UsageError(f"trial {index} is {trial.status.value}; cannot start")
-    trial.status = TrialStatus.RUNNING
-    return trial
-
-
 def complete_trial(
     experiment: Experiment, index: int, observation: Observation, elapsed_ms: int = 0
 ) -> Trial:
     """Store an observation; a non-finite objective fails the trial instead."""
     trial = _get_trial(experiment, index)
-    if trial.status == TrialStatus.CANDIDATE:
-        trial.status = TrialStatus.RUNNING
     if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot complete")
     if isinstance(observation, (int, float)) and not isinstance(observation, bool):
@@ -357,7 +317,7 @@ def fail_trial(
 ) -> Trial:
     """Mark an open trial FAILED, recording the fault kind."""
     trial = _get_trial(experiment, index)
-    if trial.status not in (TrialStatus.CANDIDATE, TrialStatus.RUNNING):
+    if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot fail")
     trial.status = TrialStatus.FAILED
     trial.elapsed_ms = int(elapsed_ms)
@@ -416,7 +376,6 @@ def optimize(
     minimize: bool = True,
     total_trials: int = 20,
     seed: int = 0,
-    init_arms: int = 5,
 ) -> tuple[BestResult, Experiment]:
     """Run the full loop and return the best configuration found.
 
@@ -432,12 +391,8 @@ def optimize(
     the loop only errors out if nothing completes at all.
     """
     experiment = new_experiment(space, minimize=minimize, seed=seed)
-    strategy = GenerationStrategy(
-        init_arms=min(init_arms, total_trials), total_trials=total_trials
-    )
     for _ in range(total_trials):
-        trial = suggest(experiment, strategy)
-        start_trial(experiment, trial.index)
+        trial = suggest(experiment, total_trials)
         began = time.perf_counter()
         try:
             observation = evaluate(trial.arm)

@@ -82,7 +82,22 @@ class SobolEngine:
 
     def next(self, n: int = 1) -> np.ndarray:
         """Draw the next ``n`` points as an (n, d) array in [0, 1)^d."""
-        return sobol_next(self, n)
+        if n < 1:
+            raise UsageError(f"must draw at least one point, got n={n}")
+        if self.index + n >= 1 << _BITS:
+            raise UsageError("Sobol stream exhausted (2^32 draws)")
+        # The lowest zero bit of each previous index i picks direction
+        # column c, and i ^ (i + 1) = 2^c - 1 with c <= 32, so frexp of 2^c
+        # gives exponent c + 1, exactly.  The running XOR over those
+        # columns, seeded with the state, gives the n points in one pass.
+        idx = np.arange(self.index, self.index + n, dtype=np.uint64)
+        cols = np.frexp((idx ^ (idx + np.uint64(1))).astype(float) + 1.0)[1] - 1
+        steps = self._v[:, cols].T
+        steps[0] ^= self._state
+        np.bitwise_xor.accumulate(steps, axis=0, out=steps)
+        self._state = steps[-1].copy()
+        self.index += n
+        return steps / _SCALE
 
     def fast_forward(self, n: int) -> "SobolEngine":
         """Advance past n points in O(32): the state after draw n is the
@@ -102,21 +117,3 @@ class SobolEngine:
         self.index = target
         return self
 
-
-def sobol_next(engine: SobolEngine, n: int) -> np.ndarray:
-    if n < 1:
-        raise UsageError(f"must draw at least one point, got n={n}")
-    if engine.index + n >= 1 << _BITS:
-        raise UsageError("Sobol stream exhausted (2^32 draws)")
-    # The lowest zero bit of each previous index i picks direction column c,
-    # and i ^ (i + 1) = 2^c - 1 with c <= 32, so frexp of 2^c gives exponent
-    # c + 1, exactly.  The running XOR over those columns, seeded with the
-    # state, gives the n points in one pass.
-    idx = np.arange(engine.index, engine.index + n, dtype=np.uint64)
-    cols = np.frexp((idx ^ (idx + np.uint64(1))).astype(float) + 1.0)[1] - 1
-    steps = engine._v[:, cols].T
-    steps[0] ^= engine._state
-    np.bitwise_xor.accumulate(steps, axis=0, out=steps)
-    engine._state = steps[-1].copy()
-    engine.index += n
-    return steps / _SCALE

@@ -1,4 +1,4 @@
-"""Trial-log persistence: one CSV row per started trial.
+"""Trial-log persistence: one CSV row per trial.
 
 Columns are fixed by the space's parameter order:
 
@@ -42,22 +42,6 @@ def _format_real(v: float | None) -> str:
     return "" if v is None else format(float(v), ".17g")
 
 
-def records_from_experiment(experiment: Experiment) -> list[TrialLogRecord]:
-    records = []
-    for t in experiment.trials:
-        records.append(
-            TrialLogRecord(
-                trial_index=t.index,
-                generator=t.generator.value,
-                params=dict(t.arm.values),
-                objective=None if t.observation is None else t.observation.objective,
-                sem=None if t.observation is None else t.observation.sem,
-                status=t.status.value,
-            )
-        )
-    return records
-
-
 def write_trial_log(experiment: Experiment, path) -> None:
     """Write the experiment's trials as CSV; header row first."""
     path = Path(path)
@@ -66,50 +50,40 @@ def write_trial_log(experiment: Experiment, path) -> None:
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["trial_index", "generator", *names, "objective", "sem", "status"])
-            for r in records_from_experiment(experiment):
+            for t in experiment.trials:
+                obs = t.observation
                 writer.writerow(
                     [
-                        r.trial_index,
-                        r.generator,
-                        *(_format_value(r.params[n]) for n in names),
-                        _format_real(r.objective),
-                        _format_real(r.sem),
-                        r.status,
+                        t.index,
+                        t.generator.value,
+                        *(_format_value(t.arm.values[n]) for n in names),
+                        _format_real(None if obs is None else obs.objective),
+                        _format_real(None if obs is None else obs.sem),
+                        t.status.value,
                     ]
                 )
     except OSError as exc:
         raise UsageError(f"cannot write trial log to {path}: {exc}") from exc
 
 
-def _parse_param_value(cell: str, space: SearchSpace | None, name: str):
-    if space is not None:
-        p = space.param(name)
-        if p.kind == RANGE_INT:
-            return int(cell)
-        if p.kind == CHOICE:
-            for option in p.options:
-                if _format_value(option) == cell:
-                    return option
-            raise UsageError(f"value {cell!r} is not an option of parameter {name!r}")
-        if p.kind == FIXED:
-            if _format_value(p.value) == cell:
-                return p.value
-            raise UsageError(f"value {cell!r} does not match fixed parameter {name!r}")
-        return float(cell)
-    # Best-effort typing without a space; numeric-looking strings become
-    # numbers, so string choice options like "1" will not round-trip.
-    for parse in (int, float):
-        try:
-            return parse(cell)
-        except ValueError:
-            pass
-    if cell in ("True", "False"):
-        return cell == "True"
-    return cell
+def _parse_param_value(cell: str, space: SearchSpace, name: str):
+    p = space.param(name)
+    if p.kind == RANGE_INT:
+        return int(cell)
+    if p.kind == CHOICE:
+        for option in p.options:
+            if _format_value(option) == cell:
+                return option
+        raise UsageError(f"value {cell!r} is not an option of parameter {name!r}")
+    if p.kind == FIXED:
+        if _format_value(p.value) == cell:
+            return p.value
+        raise UsageError(f"value {cell!r} does not match fixed parameter {name!r}")
+    return float(cell)
 
 
-def read_trial_log(path, space: SearchSpace | None = None) -> list[TrialLogRecord]:
-    """Read records back; pass the space to recover exact parameter types."""
+def read_trial_log(path, space: SearchSpace) -> list[TrialLogRecord]:
+    """Read records back, typing each parameter value by the space."""
     path = Path(path)
     try:
         with path.open(newline="") as fh:

@@ -127,7 +127,7 @@ def sobol_next_loop(engine, n: int) -> np.ndarray:
 
     Each point XORs the state with the direction column picked by the
     lowest zero bit of the previous index, one point at a time; advances
-    ``engine`` exactly as ``sobol_next`` does.
+    ``engine`` exactly as ``SobolEngine.next`` does.
     """
     out = np.empty((n, engine.dimension))
     state = engine._state.copy()

@@ -1,4 +1,4 @@
-"""Experiment lifecycle, generation strategy, optimize(), best_result()."""
+"""Experiment lifecycle, the Sobol-then-GPEI schedule, optimize(), best_result()."""
 
 import json
 import math
@@ -7,8 +7,6 @@ import numpy as np
 import pytest
 
 from gpbo import (
-    Arm,
-    GenerationStrategy,
     GeneratorKind,
     NoCompletedTrialsError,
     Observation,
@@ -16,16 +14,15 @@ from gpbo import (
     SearchSpace,
     TrialStatus,
     UsageError,
-    attach_arm,
     best_result,
     complete_trial,
     encode,
     fail_trial,
+    fit_standardizer,
     make_model,
     new_experiment,
     optimize,
     posterior,
-    start_trial,
     suggest,
 )
 from gpbo.gp import GpHyperparams, KernelSpec, MeanSpec
@@ -91,26 +88,24 @@ class TestSuggest:
 
     def test_budget_exhaustion(self):
         exp = new_experiment(unit_space(), seed=0)
-        strategy = GenerationStrategy(init_arms=2, total_trials=2)
         for _ in range(2):
-            t = suggest(exp, strategy)
+            t = suggest(exp, total_trials=2)
             complete_trial(exp, t.index, quadratic(t.arm))
         with pytest.raises(UsageError, match="budget"):
-            suggest(exp, strategy)
+            suggest(exp, total_trials=2)
         with pytest.raises(UsageError):
             fail_trial(exp, 1, "synthetic")  # terminal trials stay terminal
 
     def test_budget_counts_only_non_failed(self):
         exp = new_experiment(unit_space(), seed=0)
-        strategy = GenerationStrategy(init_arms=2, total_trials=2)
-        t0 = suggest(exp, strategy)
+        t0 = suggest(exp, total_trials=2)
         complete_trial(exp, t0.index, Observation(math.nan))  # FAILED
-        t1 = suggest(exp, strategy)
+        t1 = suggest(exp, total_trials=2)
         complete_trial(exp, t1.index, quadratic(t1.arm))
-        t2 = suggest(exp, strategy)  # one non-failed so far, still under budget
+        t2 = suggest(exp, total_trials=2)  # one non-failed so far, still under budget
         complete_trial(exp, t2.index, quadratic(t2.arm))
         with pytest.raises(UsageError, match="budget"):
-            suggest(exp, strategy)
+            suggest(exp, total_trials=2)
 
     def test_all_suggested_points_decode_from_unit_cube(self):
         exp = new_experiment(unit_space(2), seed=1)
@@ -182,7 +177,6 @@ class TestTrialTransitions:
     def test_complete_flow(self):
         exp = new_experiment(unit_space(), seed=0)
         t = suggest(exp)
-        start_trial(exp, t.index)
         assert t.status == TrialStatus.RUNNING
         complete_trial(exp, t.index, Observation(1.25, sem=0.1), elapsed_ms=12)
         assert t.status == TrialStatus.COMPLETED
@@ -214,13 +208,6 @@ class TestTrialTransitions:
         t = suggest(exp)
         complete_trial(exp, t.index, 0.75)
         assert t.observation == Observation(0.75)
-
-    def test_manual_arm(self):
-        exp = new_experiment(unit_space(), seed=0)
-        t = attach_arm(exp, Arm("hand-picked", {"x0": 0.42}))
-        assert t.generator == GeneratorKind.MANUAL
-        complete_trial(exp, t.index, quadratic(t.arm))
-        assert exp.completed() == [t]
 
 
 class TestOptimize:
@@ -379,8 +366,10 @@ class TestBestResult:
         )
         completed = exp.completed()
         X = np.stack([encode(t.arm, exp.space) for t in completed])
-        y_std = exp.standardizer.apply([t.observation.objective for t in completed])
-        noise = (np.array([t.observation.sem for t in completed]) / exp.standardizer.scale) ** 2
+        objectives = [t.observation.objective for t in completed]
+        standardizer = fit_standardizer(objectives)
+        y_std = standardizer.apply(objectives)
+        noise = (np.array([t.observation.sem for t in completed]) / standardizer.scale) ** 2
         model = make_model(X, y_std, theta, noise_diag=noise)
         means = posterior(model, X).means
         assert result.arm == completed[int(np.argmin(means))].arm
@@ -389,9 +378,3 @@ class TestBestResult:
         exp = new_experiment(unit_space(), seed=0)
         with pytest.raises(UsageError):
             best_result(exp)
-
-
-class TestGenerationStrategy:
-    def test_init_cannot_exceed_total(self):
-        with pytest.raises(UsageError):
-            GenerationStrategy(init_arms=9, total_trials=5)

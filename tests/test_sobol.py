@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import gpbo.sobol
-from gpbo import SobolEngine, UsageError, sobol_next
+from gpbo import SobolEngine, UsageError
 
 from oracles import sobol_next_loop, sobol_reference
 
@@ -93,7 +93,7 @@ class TestRangeAndState:
 
     def test_draw_count_must_be_positive(self):
         with pytest.raises(UsageError):
-            sobol_next(SobolEngine(1), 0)
+            SobolEngine(1).next(0)
 
 
 class TestEquidistribution:
