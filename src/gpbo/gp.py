@@ -250,11 +250,14 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     W = dtrtri(L, lower=1)[0]
     P = np.outer(alpha, alpha)
     P -= W.T @ W
+    # The ladder's jitter is proportional to the mean diagonal of K, which
+    # is s2, so it moves with log s2 as well: dK~/dlog s2 = K + jitter I.
+    trace = float(P.trace())
     grad = np.empty(d + (3 if noise_diag is None else 2))
     grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
-    grad[d] = 0.5 * float(np.vdot(P, K))
+    grad[d] = 0.5 * (float(np.vdot(P, K)) + jitter * trace)
     if noise_diag is None:
-        grad[d + 1] = 0.5 * sigma2 * float(P.trace())
+        grad[d + 1] = 0.5 * sigma2 * trace
     grad[-1] = float(np.sum(alpha))
     return _MllParts(value, grad, L, alpha, jitter)
 
