@@ -23,14 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import UsageError
 from .space import Arm, Observation, ParameterSpec, SearchSpace
-
-BUILTIN_NAMES = ("quadratic1d", "branin2d", "groupweights3d", "hartmann6")
 
 GROUP_WEIGHT_NAMES = ("w_fg", "w_rg", "w_ccg")
 
@@ -69,6 +67,16 @@ class GroupWeightsBench:
         ).digest()
         rng = np.random.default_rng(int.from_bytes(digest, "little"))
         return self.noise_sd * float(rng.standard_normal())
+
+
+# The parameters each builtin accepts besides its name.
+BUILTIN_PARAMS = {
+    "quadratic1d": frozenset(),
+    "branin2d": frozenset(),
+    "groupweights3d": frozenset(f.name for f in fields(GroupWeightsBench)),
+    "hartmann6": frozenset(),
+}
+BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
 
 
 def branin(x1: float, x2: float) -> float:

@@ -7,7 +7,7 @@ import shlex
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .benchmarks import BUILTIN_NAMES
+from .benchmarks import BUILTIN_NAMES, BUILTIN_PARAMS
 from .errors import ConfigFileError, ConfigParseError, ConfigSchemaError
 from .space import CHOICE, FIXED, RANGE_FLOAT, RANGE_INT, ParameterSpec, SearchSpace
 
@@ -17,12 +17,6 @@ _PARAM_KEYS = {
     RANGE_INT: {"name", "kind", "lower", "upper"},
     CHOICE: {"name", "kind", "options"},
     FIXED: {"name", "kind", "value"},
-}
-_BUILTIN_KEYS = {
-    "quadratic1d": {"name"},
-    "branin2d": {"name"},
-    "groupweights3d": {"name", "targets", "curvature", "noise_sd", "seed"},
-    "hartmann6": {"name"},
 }
 _COMMAND_KEYS = {"command", "timeout"}
 
@@ -108,7 +102,7 @@ def _parse_objective(obj) -> BuiltinObjective | CommandObjective:
         _require("name" in block, "'objective.builtin' requires 'name'")
         name = block["name"]
         _require(name in BUILTIN_NAMES, f"unknown builtin objective {name!r}")
-        _reject_unknown(block, _BUILTIN_KEYS[name], f"'objective.builtin' ({name})")
+        _reject_unknown(block, {"name", *BUILTIN_PARAMS[name]}, f"'objective.builtin' ({name})")
         params = {k: v for k, v in block.items() if k != "name"}
         return BuiltinObjective(name=name, params=params)
     block = obj["command"]
