@@ -12,6 +12,12 @@ against the ``src/`` of the checkout this script belongs to:
 * ``maximize_ms``: one ``maximize_acquisition`` on the two fitted models;
 * ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine.
 
+Next to each ``fit`` timing is its number of ``_mll_core`` calls
+(``mll_core_calls``), and next to each ``maximize_acquisition`` timing its
+number of ``posterior_grad`` calls (``posterior_grad_calls``).  The
+counts are deterministic, so unlike the timings they do not move with
+host drift.
+
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
 and scipy versions.
 
@@ -35,6 +41,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
+import gpbo.acqopt  # noqa: E402
+import gpbo.gp  # noqa: E402
 from gpbo import SobolEngine, fit, incumbent_value, maximize_acquisition  # noqa: E402
 from gpbo.gp import _mll_core, _sq_diffs  # noqa: E402
 
@@ -52,6 +60,24 @@ def timed(call, scale: float) -> dict:
         times.append((time.perf_counter() - t0) * scale)
     q1, median, q3 = np.percentile(times, [25, 50, 75])
     return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+
+
+def counted(module, name: str, call) -> int:
+    """How many times one ``call`` calls ``module.name``."""
+    original = getattr(module, name)
+    calls = 0
+
+    def wrapper(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return original(*args, **kwargs)
+
+    setattr(module, name, wrapper)
+    try:
+        call()
+    finally:
+        setattr(module, name, original)
+    return calls
 
 
 def dataset(n: int, d: int, seed: int, fixed_noise: bool):
@@ -80,11 +106,20 @@ def main() -> int:
             diff2, y, spec.family, spec.lengthscales, spec.signal_variance,
             model.theta.noise_variance, model.theta.mean.constant, nd, True,
         ), 1e6)
-        out["fit_ms"][name] = timed(lambda: fit(
-            X, y, restarts=FIT_RESTARTS, seed=2, noise_diag=nd, start=warm), 1e3)
+        def fit_once():
+            fit(X, y, restarts=FIT_RESTARTS, seed=2, noise_diag=nd, start=warm)
+
+        out["fit_ms"][name] = dict(
+            timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))
         incumbent = incumbent_value(model)
-        out["maximize_ms"][name] = timed(
-            lambda: maximize_acquisition(model, incumbent, seed=3), 1e3)
+
+        def maximize_once():
+            maximize_acquisition(model, incumbent, seed=3)
+
+        out["maximize_ms"][name] = dict(
+            timed(maximize_once, 1e3),
+            posterior_grad_calls=counted(gpbo.acqopt, "posterior_grad", maximize_once),
+        )
     out["sobol_1024_ms"] = timed(lambda: SobolEngine(5).next(1024), 1e3)
     out.update(
         repeats=REPEATS,

@@ -90,11 +90,12 @@ def run(config: RunConfig, out=None) -> int:
 
 def _cmd_run(args) -> int:
     try:
-        config = parse_config(args.config)
+        config = parse_config(args.config).override(
+            out_dir=args.out_dir, seed=args.seed, total_trials=args.trials
+        )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    config = config.override(out_dir=args.out_dir, seed=args.seed, total_trials=args.trials)
     return run(config)
 
 
@@ -130,12 +131,15 @@ def _cmd_bench(args) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
-    config = RunConfig(
-        space=default_space(args.name),
-        objective=BuiltinObjective(name=args.name, params={}),
-        out_dir=args.out_dir or f"bench_{args.name}",
-    )
-    config = config.override(seed=args.seed, total_trials=args.trials)
+    try:
+        config = RunConfig(
+            space=default_space(args.name),
+            objective=BuiltinObjective(name=args.name, params={}),
+            out_dir=args.out_dir or f"bench_{args.name}",
+        ).override(seed=args.seed, total_trials=args.trials)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return run(config)
 
 

@@ -44,8 +44,16 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "bo_out"
 
+    def __post_init__(self):
+        # Here rather than in parse_config, so that --trials is held to it too.
+        total = self.total_trials
+        _require(
+            isinstance(total, int) and not isinstance(total, bool) and total >= 1,
+            "'total_trials' must be an integer >= 1",
+        )
+
     def override(self, **kwargs) -> "RunConfig":
-        """Apply non-None command-line overrides."""
+        """Apply non-None command-line overrides, validated like the file."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates)
 
@@ -152,11 +160,6 @@ def parse_config(path) -> RunConfig:
     objective = _parse_objective(document["objective"])
     minimize = document.get("minimize", True)
     _require(isinstance(minimize, bool), "'minimize' must be a boolean")
-    total_trials = document.get("total_trials", 20)
-    _require(
-        isinstance(total_trials, int) and not isinstance(total_trials, bool) and total_trials >= 1,
-        "'total_trials' must be an integer >= 1",
-    )
     seed = document.get("seed", 0)
     _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
     out_dir = document.get("out_dir", "bo_out")
@@ -165,7 +168,7 @@ def parse_config(path) -> RunConfig:
         space=SearchSpace(params),
         objective=objective,
         minimize=minimize,
-        total_trials=total_trials,
+        total_trials=document.get("total_trials", 20),
         seed=seed,
         out_dir=out_dir,
     )

@@ -391,7 +391,9 @@ def fit(
     """Fit hyperparameters by multi-start maximum marginal likelihood.
 
     Each start runs bounded L-BFGS-B (max 200 iterations, projected
-    gradient tolerance 1e-6) on the negative mll over log-parameters.  The
+    gradient tolerance 1e-6, relative-reduction tolerance ``ftol`` 1e-7
+    against scipy's default of about 2.2e-9) on the negative mll over
+    log-parameters.  The
     objective keeps the best point it has evaluated, with its factor and
     alpha, so the largest mll any start reached wins, ties going to the
     earliest evaluation; nothing is re-scored afterwards.  L-BFGS-B
@@ -472,7 +474,7 @@ def fit(
                 jac=True,
                 method="L-BFGS-B",
                 bounds=bounds,
-                options={"maxiter": 200, "gtol": 1e-6},
+                options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},
             )
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"restart {idx}: {exc}")

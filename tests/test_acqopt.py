@@ -14,6 +14,7 @@ from gpbo import (
     maximize_acquisition,
     posterior,
 )
+import gpbo.acqopt
 import gpbo.gp
 from gpbo.acqopt import CANDIDATE_COUNT
 
@@ -120,3 +121,27 @@ class TestMaximizeAcquisition:
         incumbent = incumbent_value(model)
         x, value = maximize_acquisition(model, incumbent, 0)
         assert value == ei(posterior(model, x[None]), incumbent)[0] > 0.0
+
+    def test_refine_tolerance_keeps_ei_of_default_tolerance(self, monkeypatch):
+        # The refine stops at a relative reduction of 1e-7 in the summed
+        # log-EI.  Its answer must be as good as a run to scipy's default
+        # ftol (about 2.2e-9): within 1e-3 relative EI on random models.
+        real_minimize = gpbo.acqopt.minimize
+        reference_runs = []
+
+        def default_ftol(*args, options, **kwargs):
+            options.pop("ftol", None)
+            reference_runs.append(options)
+            return real_minimize(*args, options=options, **kwargs)
+
+        rng = np.random.default_rng(23)
+        cases = [(int(rng.choice([2, 5, 6])), int(rng.integers(10, 61))) for _ in range(20)]
+        for seed, (d, n) in enumerate(cases):
+            model = toy_model(seed, n=n, d=d)
+            incumbent = incumbent_value(model)
+            _, value = maximize_acquisition(model, incumbent, seed)
+            with monkeypatch.context() as patch:
+                patch.setattr(gpbo.acqopt, "minimize", default_ftol)
+                _, reference = maximize_acquisition(model, incumbent, seed)
+            assert abs(value - reference) <= 1e-3 * reference
+        assert len(reference_runs) == len(cases)

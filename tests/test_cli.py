@@ -436,6 +436,21 @@ class TestMain:
         assert main(["bench", "mystery"]) == 2
         assert "mystery" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_run_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+        out = tmp_path / "never"
+        path = write_config(tmp_path, MINIMAL)
+        assert main(["run", str(path), "--out-dir", str(out), "--trials", trials]) == 2
+        assert "'total_trials' must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_bench_trials_below_one_exits_2(self, tmp_path, capsys, trials):
+        out = tmp_path / "never"
+        assert main(["bench", "quadratic1d", "--trials", trials, "--out-dir", str(out)]) == 2
+        assert "'total_trials' must be an integer >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bench_runs_builtin(self, tmp_path):
         out = tmp_path / "bench_out"
         assert main(["bench", "quadratic1d", "--trials", "6", "--out-dir", str(out)]) == 0
