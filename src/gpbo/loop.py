@@ -18,9 +18,7 @@ on the way in and back out, so every inner computation minimizes.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
-import time
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -41,7 +39,6 @@ from .space import (
     fit_standardizer,
     validate_space,
 )
-from .version import __version__
 
 logger = logging.getLogger("gpbo.loop")
 
@@ -86,7 +83,6 @@ class Trial:
     generator: GeneratorKind
     encoded: np.ndarray = field(repr=False, compare=False)
     observation: Observation | None = None
-    elapsed_ms: int = 0
     metadata: dict = field(default_factory=dict)
     theta: GpHyperparams | None = field(default=None, repr=False, compare=False)
 
@@ -109,50 +105,12 @@ class Experiment:
     minimize: bool
     seed: int
     trials: list[Trial] = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self._sobol = SobolEngine(self.space.d)
 
     def completed(self) -> list[Trial]:
         return [t for t in self.trials if t.status == TrialStatus.COMPLETED]
-
-    def to_dict(self) -> dict:
-        """JSON-ready snapshot of the experiment state."""
-        params = []
-        for p in self.space.params:
-            params.append(
-                {
-                    "name": p.name,
-                    "kind": p.kind,
-                    "lower": p.lower,
-                    "upper": p.upper,
-                    "options": list(p.options) if p.options is not None else None,
-                    "value": p.value,
-                    "log_scale": p.log_scale,
-                }
-            )
-        trials = []
-        for t in self.trials:
-            trials.append(
-                {
-                    "index": t.index,
-                    "arm": {"name": t.arm.name, "values": dict(t.arm.values)},
-                    "status": t.status.value,
-                    "generator": t.generator.value,
-                    "objective": None if t.observation is None else t.observation.objective,
-                    "sem": None if t.observation is None else t.observation.sem,
-                    "elapsed_ms": t.elapsed_ms,
-                    "metadata": dict(t.metadata),
-                }
-            )
-        return {
-            "space": params,
-            "minimize": self.minimize,
-            "seed": self.seed,
-            "metadata": dict(self.metadata),
-            "trials": trials,
-        }
 
 
 def _derive_seed(base: int, stream: str, k: int) -> int:
@@ -168,12 +126,7 @@ def new_experiment(space: SearchSpace, minimize: bool = True, seed: int = 0) -> 
         raise UsageError(f"invalid search space: {details}")
     for warning in report.warnings:
         logger.warning("%s", warning)
-    return Experiment(
-        space=space,
-        minimize=minimize,
-        seed=seed,
-        metadata={"engine_version": __version__, "seed": str(seed)},
-    )
+    return Experiment(space=space, minimize=minimize, seed=seed)
 
 
 def _get_trial(experiment: Experiment, index: int) -> Trial:
@@ -246,14 +199,13 @@ def suggest(experiment: Experiment, total_trials: int = 20) -> Trial:
     trials have completed, then GP-EI.
 
     Raises UsageError while another trial is open, or once ``total_trials``
-    trials that did not fail have been opened.  A GP-EI proposal whose
+    trials have been opened, failed ones included.  A GP-EI proposal whose
     decoded arm lies within 1e-9 (max norm, encoded) of an existing arm,
     or a failed GP fit, falls back to the next Sobol point.
     """
     if any(t.status == TrialStatus.RUNNING for t in experiment.trials):
         raise UsageError("an open trial exists; complete or fail it before suggesting")
-    started = sum(1 for t in experiment.trials if t.status != TrialStatus.FAILED)
-    if started >= total_trials:
+    if len(experiment.trials) >= total_trials:
         raise UsageError(f"trial budget of {total_trials} exhausted")
     index = len(experiment.trials)
     completed = experiment.completed()
@@ -292,16 +244,13 @@ def suggest(experiment: Experiment, total_trials: int = 20) -> Trial:
     return trial
 
 
-def complete_trial(
-    experiment: Experiment, index: int, observation: Observation, elapsed_ms: int = 0
-) -> Trial:
+def complete_trial(experiment: Experiment, index: int, observation: Observation) -> Trial:
     """Store an observation; a non-finite objective fails the trial instead."""
     trial = _get_trial(experiment, index)
     if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot complete")
     if isinstance(observation, (int, float)) and not isinstance(observation, bool):
         observation = Observation(float(observation))
-    trial.elapsed_ms = int(elapsed_ms)
     if not observation.is_finite:
         trial.status = TrialStatus.FAILED
         trial.metadata["fault"] = "non-finite-objective"
@@ -312,15 +261,12 @@ def complete_trial(
     return trial
 
 
-def fail_trial(
-    experiment: Experiment, index: int, kind: str, detail: str = "", elapsed_ms: int = 0
-) -> Trial:
+def fail_trial(experiment: Experiment, index: int, kind: str, detail: str = "") -> Trial:
     """Mark an open trial FAILED, recording the fault kind."""
     trial = _get_trial(experiment, index)
     if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot fail")
     trial.status = TrialStatus.FAILED
-    trial.elapsed_ms = int(elapsed_ms)
     trial.metadata["fault"] = kind
     if detail:
         trial.metadata["detail"] = detail
@@ -340,16 +286,6 @@ def best_result(experiment: Experiment) -> BestResult:
         raise UsageError("no completed trials")
     model, standardizer = _history_model(
         experiment, completed, "final", len(experiment.trials)
-    )
-    experiment.metadata["final_hyperparams"] = json.dumps(
-        {
-            "family": model.theta.kernel.family,
-            "lengthscales": list(model.theta.kernel.lengthscales),
-            "signal_variance": model.theta.kernel.signal_variance,
-            "noise_variance": model.theta.noise_variance,
-            "mean": model.theta.mean.constant,
-            "jitter": model.jitter_used,
-        }
     )
     summary = posterior(model, model.X)
     noise_free = all(t.observation.sem in (None, 0, 0.0) for t in completed)
@@ -393,19 +329,14 @@ def optimize(
     experiment = new_experiment(space, minimize=minimize, seed=seed)
     for _ in range(total_trials):
         trial = suggest(experiment, total_trials)
-        began = time.perf_counter()
         try:
             observation = evaluate(trial.arm)
         except EvaluatorFault as fault:
-            elapsed = int((time.perf_counter() - began) * 1000)
-            fail_trial(experiment, trial.index, fault.kind, fault.detail, elapsed)
-            continue
+            fail_trial(experiment, trial.index, fault.kind, fault.detail)
         except Exception as exc:  # evaluator bugs are data, not loop aborts
-            elapsed = int((time.perf_counter() - began) * 1000)
-            fail_trial(experiment, trial.index, "evaluator-exception", repr(exc), elapsed)
-            continue
-        elapsed = int((time.perf_counter() - began) * 1000)
-        complete_trial(experiment, trial.index, observation, elapsed_ms=elapsed)
+            fail_trial(experiment, trial.index, "evaluator-exception", repr(exc))
+        else:
+            complete_trial(experiment, trial.index, observation)
     if not experiment.completed():
         raise NoCompletedTrialsError(experiment)
     return best_result(experiment), experiment

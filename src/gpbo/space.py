@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SpaceError, UsageError
+from .sobol import MAX_DIMENSION
 
 RANGE_FLOAT = "range-float"
 RANGE_INT = "range-int"
@@ -192,6 +193,12 @@ def validate_space(space: SearchSpace) -> ValidationReport:
                 violations.append(Violation(p.name, "log_scale is only valid on float ranges"))
     if space.d < 1:
         violations.append(Violation(None, "space must contain at least one non-fixed parameter"))
+    if space.d > MAX_DIMENSION:
+        violations.append(
+            Violation(
+                None, f"space has {space.d} free dimensions; Sobol supports at most {MAX_DIMENSION}"
+            )
+        )
     if space.d >= 20:
         warnings.append(
             f"space has {space.d} free dimensions; surrogate optimization degrades beyond ~20"

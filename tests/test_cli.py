@@ -263,7 +263,7 @@ def tiny_experiment(n=3, with_sem=False, fail_last=False):
             complete_trial(exp, t.index, Observation(float("nan")))
         else:
             obs = Observation(1.0 / (i + 3), sem=0.01 if with_sem else None)
-            complete_trial(exp, t.index, obs, elapsed_ms=i)
+            complete_trial(exp, t.index, obs)
     return exp
 
 
@@ -376,6 +376,21 @@ class TestRun:
         }
         config = parse_config(write_config(tmp_path, doc))
         assert run(config) == 2
+        assert not (tmp_path / "never").exists()
+
+    def test_space_beyond_sobol_dimensions_exits_2_without_files(self, tmp_path, capsys):
+        doc = {
+            "space": [
+                {"name": f"x{i}", "kind": "range-float", "lower": 0.0, "upper": 1.0}
+                for i in range(22)
+            ],
+            "objective": {"command": "true"},
+            "out_dir": str(tmp_path / "never"),
+        }
+        path = write_config(tmp_path, doc)
+        assert main(["validate", str(path)]) == 2
+        assert main(["run", str(path)]) == 2
+        assert "at most 21" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     def test_repeat_runs_byte_identical_logs(self, tmp_path):

@@ -44,6 +44,12 @@ class TestValidateSpace:
         assert report.ok
         assert len(report.warnings) == 1
 
+    def test_beyond_sobol_dimensions_is_invalid(self):
+        # d = 21 still validates (test_many_dimensions_warns).
+        report = validate_space(unit_space(*(f"x{i}" for i in range(22))))
+        assert not report.ok
+        assert any("at most 21" in v.message for v in report.violations)
+
     def test_duplicate_names(self):
         space = unit_space("x", "x")
         assert not validate_space(space).ok

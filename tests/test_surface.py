@@ -7,7 +7,9 @@ from pathlib import Path
 import gpbo
 import gpbo.loop
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+ASK_TELL_HEAD = "from gpbo import complete_trial, fail_trial, new_experiment, suggest\n"
 
 EXPORTS = [
     "Arm",
@@ -81,3 +83,20 @@ def test_benchmark_tracer_finds_every_entry_point(monkeypatch):
     with tracing.Tracer():
         assert gpbo.loop.suggest is not suggest
     assert gpbo.loop.suggest is suggest
+
+
+def test_readme_ask_tell_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = [b for b in readme.split("```python\n")[1:] if b.startswith(ASK_TELL_HEAD)]
+    assert len(blocks) == 1
+    example = blocks[0].split("```")[0]
+    space = gpbo.SearchSpace([gpbo.ParameterSpec.range_float("x", 0.0, 1.0)])
+    scope = {
+        "space": space,
+        "evaluate": lambda arm: gpbo.Observation((arm.values["x"] - 0.3) ** 2),
+    }
+    exec(example, scope)
+    trials = scope["experiment"].trials
+    assert len(trials) == 20
+    assert [t.generator for t in trials[:5]] == [gpbo.GeneratorKind.SOBOL] * 5
+    assert all(t.status == gpbo.TrialStatus.COMPLETED for t in trials)
