@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acquisition import _SIGMA_FLOOR, ei, log_ei
+from .acquisition import ei, log_ei
 from .errors import NumericalError
 from .gp import GpModel, posterior, posterior_grad
 from .sobol import SobolEngine
@@ -64,10 +64,8 @@ def maximize_acquisition(
 
     def objective(z):
         summary, dmean, dvar = posterior_grad(model, z.reshape(-1, d))
-        log_values, d_mu, d_sigma = log_ei(summary, incumbent)
-        # d sigma / d var = 1 / (2 sigma), with sigma clamped as in log_ei.
-        sigma = np.maximum(np.sqrt(summary.variances), _SIGMA_FLOOR)
-        grad = d_mu[:, None] * dmean + (d_sigma / (2.0 * sigma))[:, None] * dvar
+        log_values, d_mu, d_var = log_ei(summary, incumbent)
+        grad = d_mu[:, None] * dmean + d_var[:, None] * dvar
         return -float(log_values.sum()), -grad.ravel()
 
     res = minimize(

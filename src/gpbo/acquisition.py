@@ -88,7 +88,7 @@ def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
 
 
 def log_ei(summary: PosteriorSummary, incumbent: float):
-    """log EI with its partial derivatives in the mean and the sd, per point.
+    """log EI with its partial derivatives in the mean and the variance, per point.
 
     log EI = log sigma + log h(gamma) with h = gamma Phi + phi, finite
     wherever sigma is above the floor, including deep in the left tail
@@ -97,7 +97,9 @@ def log_ei(summary: PosteriorSummary, incumbent: float):
     to its log up to rounding.  h' = Phi, so d log h / d gamma = Phi / h.
     For gamma <= -1 both go through :func:`_tail`: log h is
     -gamma^2/2 - log sqrt(2 pi) + log(h/phi) and d log h / d gamma is
-    r / (h/phi).  Returns (values, d/dmu, d/dsigma).
+    r / (h/phi).  d/dsigma = (1 - gamma d log h / d gamma) / sigma, and
+    d/dvariance = d/dsigma / (2 sigma), with sigma clamped as above.
+    Returns (values, d/dmu, d/dvariance).
     """
     sigma = np.maximum(np.sqrt(summary.variances), _SIGMA_FLOOR)
     gamma = (incumbent - summary.means) / sigma
@@ -108,7 +110,8 @@ def log_ei(summary: PosteriorSummary, incumbent: float):
     tail = gamma <= -1.0
     log_h = np.where(tail, -0.5 * gamma * gamma - _HALF_LOG_2PI + np.log(ratio), np.log(h))
     dlog_h = np.where(tail, r / ratio, cdf / h)
-    return np.log(sigma) + log_h, -dlog_h / sigma, (1.0 - gamma * dlog_h) / sigma
+    d_sigma = (1.0 - gamma * dlog_h) / sigma
+    return np.log(sigma) + log_h, -dlog_h / sigma, d_sigma / (2.0 * sigma)
 
 
 def incumbent_value(model: GpModel) -> float:

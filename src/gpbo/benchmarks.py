@@ -1,21 +1,22 @@
 """Built-in benchmark objectives for desk-scale runs of the loop.
 
-Four objectives with known structure:
+Four objectives with known structure, each over float parameters on [0, 1]:
 
-* ``quadratic1d``: (x - 0.3)^2 on one float parameter.
+* ``quadratic1d``: (x - 0.3)^2 on one parameter.
 * ``branin2d``: the Branin function on its conventional domain
   [-5, 10] x [0, 15], driven through two unit-interval parameters.
 * ``groupweights3d``: a smooth bowl over three mixing weights
-  w_fg, w_rg, w_ccg in [0, 1], with per-weight curvature, a small
-  interaction term, and optional seeded Gaussian noise:
+  w_fg, w_rg, w_ccg, with targets t = (0.25, 0.6, 0.4), curvature
+  c = (1, 2, 0.5), a small interaction term, and optional Gaussian noise
+  of sd ``noise_sd``, its only config key:
 
-      sum_k c_k (w_k - target_k)^2 + 0.1 * w_fg * w_rg + noise
+      sum_k c_k (w_k - t_k)^2 + 0.1 * w_fg * w_rg + noise
 
 * ``hartmann6``: the six-dimensional Hartmann function on [0, 1]^6,
   global minimum -3.32237 (Surjanovic & Bingham, *Virtual Library of
   Simulation Experiments*).
 
-The noise is a deterministic function of (seed, weights), so repeated
+The noise is a deterministic function of the weights, so repeated
 evaluations of the same arm agree and whole runs replay bitwise.
 """
 
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+import sys
 
 import numpy as np
 
@@ -31,52 +32,10 @@ from .errors import UsageError
 from .space import Arm, Observation, ParameterSpec, SearchSpace
 
 GROUP_WEIGHT_NAMES = ("w_fg", "w_rg", "w_ccg")
-
-
-@dataclass(frozen=True)
-class GroupWeightsBench:
-    """Configuration of the three-weight synthetic objective."""
-
-    targets: tuple[float, float, float] = (0.25, 0.6, 0.4)
-    curvature: tuple[float, float, float] = (1.0, 2.0, 0.5)
-    noise_sd: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(float(t) for t in self.targets))
-        object.__setattr__(self, "curvature", tuple(float(c) for c in self.curvature))
-        if len(self.targets) != 3 or not all(0.0 <= t <= 1.0 for t in self.targets):
-            raise UsageError("targets must be three weights in [0, 1]")
-        if len(self.curvature) != 3 or not all(c > 0 for c in self.curvature):
-            raise UsageError("curvature must be three positive reals")
-        if not (math.isfinite(self.noise_sd) and self.noise_sd >= 0):
-            raise UsageError("noise_sd must be finite and >= 0")
-
-    def value(self, weights) -> float:
-        w = np.asarray(weights, dtype=float)
-        residual = float(np.sum(np.asarray(self.curvature) * (w - np.asarray(self.targets)) ** 2))
-        interaction = 0.1 * w[0] * w[1]
-        return residual + interaction + self._noise(w)
-
-    def _noise(self, w: np.ndarray) -> float:
-        if self.noise_sd == 0.0:
-            return 0.0
-        digest = hashlib.blake2b(
-            np.int64(self.seed).tobytes() + np.asarray(w, dtype=float).tobytes(),
-            digest_size=8,
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        return self.noise_sd * float(rng.standard_normal())
-
-
-# The parameters each builtin accepts besides its name.
-BUILTIN_PARAMS = {
-    "quadratic1d": frozenset(),
-    "branin2d": frozenset(),
-    "groupweights3d": frozenset(f.name for f in fields(GroupWeightsBench)),
-    "hartmann6": frozenset(),
-}
-BUILTIN_NAMES = tuple(BUILTIN_PARAMS)
+GROUP_WEIGHT_TARGETS = (0.25, 0.6, 0.4)
+GROUP_WEIGHT_CURVATURE = (1.0, 2.0, 0.5)
+# Hashed ahead of an arm's weights to seed that arm's noise draw.
+_NOISE_SEED = np.int64(0).tobytes()
 
 
 def branin(x1: float, x2: float) -> float:
@@ -113,64 +72,71 @@ def hartmann6(x) -> float:
     return -float(np.sum(_HARTMANN6_ALPHA * np.exp(-inner)))
 
 
-def _numeric_values(arm: Arm, expected: int, name: str) -> list[float]:
-    values = list(arm.values.values())
-    if len(values) != expected:
-        raise UsageError(
-            f"{name} expects an arm with exactly {expected} parameter(s), "
-            f"got {len(values)}"
-        )
-    return [float(v) for v in values]
+def _groupweights3d(noise_sd=0.0):
+    """The groupweights3d objective of one arm, read by name, for one noise sd."""
+    if (isinstance(noise_sd, bool) or not isinstance(noise_sd, (int, float))
+            or not 0 <= noise_sd <= sys.float_info.max):
+        raise UsageError("'noise_sd' must be a finite number >= 0")
+    targets, curvature = np.asarray(GROUP_WEIGHT_TARGETS), np.asarray(GROUP_WEIGHT_CURVATURE)
+    sem = noise_sd if noise_sd > 0 else None
 
-
-def builtin_objective(name: str, params: dict, arm: Arm) -> Observation:
-    """Evaluate one built-in objective at an arm."""
-    if name == "quadratic1d":
-        (x,) = _numeric_values(arm, 1, name)
-        return Observation((x - 0.3) ** 2)
-    if name == "branin2d":
-        u1, u2 = _numeric_values(arm, 2, name)
-        return Observation(branin(15.0 * u1 - 5.0, 15.0 * u2))
-    if name == "groupweights3d":
-        bench = GroupWeightsBench(**params)
+    def objective(arm: Arm) -> Observation:
         try:
-            weights = [float(arm.values[k]) for k in GROUP_WEIGHT_NAMES]
+            w = np.asarray([float(arm.values[k]) for k in GROUP_WEIGHT_NAMES])
         except KeyError as missing:
             raise UsageError(
                 f"groupweights3d expects parameters named {GROUP_WEIGHT_NAMES}, "
                 f"missing {missing}"
             ) from None
-        sem = bench.noise_sd if bench.noise_sd > 0 else None
-        return Observation(bench.value(weights), sem=sem)
-    if name == "hartmann6":
-        return Observation(hartmann6(_numeric_values(arm, 6, name)))
-    raise UsageError(f"unknown builtin objective {name!r}")
+        value = float(np.sum(curvature * (w - targets) ** 2)) + 0.1 * w[0] * w[1]
+        if sem is not None:
+            digest = hashlib.blake2b(_NOISE_SEED + w.tobytes(), digest_size=8).digest()
+            rng = np.random.default_rng(int.from_bytes(digest, "little"))
+            value += noise_sd * float(rng.standard_normal())
+        return Observation(value, sem=sem)
+
+    return objective
+
+
+# name -> (parameter names, objective).  Every parameter is a float on
+# [0, 1].  An objective with config keys (BUILTIN_PARAMS) is built from
+# them and reads the arm by name; the others take its values in order.
+_BUILTINS = {
+    "quadratic1d": (("x",), lambda x: (x - 0.3) ** 2),
+    "branin2d": (("u1", "u2"), lambda u1, u2: branin(15.0 * u1 - 5.0, 15.0 * u2)),
+    "groupweights3d": (GROUP_WEIGHT_NAMES, _groupweights3d),
+    "hartmann6": (tuple(f"x{i}" for i in range(1, 7)), lambda *x: hartmann6(x)),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
+# The config keys each builtin accepts besides its name.
+BUILTIN_PARAMS = {name: frozenset() for name in BUILTIN_NAMES}
+BUILTIN_PARAMS["groupweights3d"] = frozenset({"noise_sd"})
+
+
+def _entry(name: str):
+    if name not in _BUILTINS:
+        raise UsageError(f"unknown builtin objective {name!r}")
+    return _BUILTINS[name]
 
 
 def make_builtin(name: str, params: dict):
-    """Evaluator closure for the loop; validates the name eagerly."""
-    if name not in BUILTIN_NAMES:
-        raise UsageError(f"unknown builtin objective {name!r}")
-    if name == "groupweights3d":
-        GroupWeightsBench(**params)  # surface bad parameters before the run
-    return lambda arm: builtin_objective(name, params, arm)
+    """Evaluator of one arm for the loop; checks the name and config up front."""
+    names, objective = _entry(name)
+    if BUILTIN_PARAMS[name]:
+        return objective(**params)
+
+    def evaluate(arm: Arm) -> Observation:
+        values = list(arm.values.values())
+        if len(values) != len(names):
+            raise UsageError(
+                f"{name} expects an arm with exactly {len(names)} parameter(s), "
+                f"got {len(values)}"
+            )
+        return Observation(objective(*(float(v) for v in values)))
+
+    return evaluate
 
 
 def default_space(name: str) -> SearchSpace:
     """The search space each built-in benchmark is defined on."""
-    if name == "quadratic1d":
-        return SearchSpace([ParameterSpec.range_float("x", 0.0, 1.0)])
-    if name == "branin2d":
-        return SearchSpace(
-            [
-                ParameterSpec.range_float("u1", 0.0, 1.0),
-                ParameterSpec.range_float("u2", 0.0, 1.0),
-            ]
-        )
-    if name == "groupweights3d":
-        return SearchSpace(
-            [ParameterSpec.range_float(w, 0.0, 1.0) for w in GROUP_WEIGHT_NAMES]
-        )
-    if name == "hartmann6":
-        return SearchSpace([ParameterSpec.range_float(f"x{i}", 0.0, 1.0) for i in range(1, 7)])
-    raise UsageError(f"unknown builtin objective {name!r}")
+    return SearchSpace([ParameterSpec.range_float(p, 0.0, 1.0) for p in _entry(name)[0]])

@@ -18,7 +18,7 @@ from .config import BuiltinObjective, RunConfig, parse_config
 from .errors import ConfigError, GpboError
 from .external import make_command_evaluator
 from .loop import NoCompletedTrialsError, TrialStatus, optimize
-from .space import validate_space
+from .space import ValidationReport, validate_space
 from .trial_log import write_trial_log
 
 EXIT_OK = 0
@@ -32,14 +32,17 @@ def _make_evaluator(config: RunConfig):
     return make_command_evaluator(config.objective.command, config.objective.timeout)
 
 
-def run(config: RunConfig, out=None) -> int:
+def _print_violations(report: ValidationReport) -> int:
+    for v in report.violations:
+        print(f"error: {v}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def run(config: RunConfig) -> int:
     """Execute a configured optimization run and persist its outputs."""
-    out = out if out is not None else sys.stdout
     report = validate_space(config.space)
     if not report.ok:
-        for v in report.violations:
-            print(f"error: parameter {v.param!r}: {v.message}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _print_violations(report)
     try:
         evaluator = _make_evaluator(config)
     except GpboError as exc:
@@ -79,12 +82,12 @@ def run(config: RunConfig, out=None) -> int:
     }
     (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
     direction = "minimum" if config.minimize else "maximum"
-    print(f"best configuration ({direction} over {len(experiment.trials)} trials):", file=out)
+    print(f"best configuration ({direction} over {len(experiment.trials)} trials):")
     for name, value in best.arm.values.items():
-        print(f"  {name} = {value}", file=out)
-    print(f"observed objective: {best.observed_objective}", file=out)
-    print(f"model prediction: {best.predicted_mean} +- {best.predicted_sd}", file=out)
-    print(f"outputs written to {out_dir}", file=out)
+        print(f"  {name} = {value}")
+    print(f"observed objective: {best.observed_objective}")
+    print(f"model prediction: {best.predicted_mean} +- {best.predicted_sd}")
+    print(f"outputs written to {out_dir}")
     return EXIT_OK
 
 
@@ -109,9 +112,7 @@ def _cmd_validate(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}")
     if not report.ok:
-        for v in report.violations:
-            print(f"error: parameter {v.param!r}: {v.message}", file=sys.stderr)
-        return EXIT_CONFIG
+        return _print_violations(report)
     kind = (
         f"builtin '{config.objective.name}'"
         if isinstance(config.objective, BuiltinObjective)

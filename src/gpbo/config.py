@@ -7,8 +7,8 @@ import shlex
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .benchmarks import BUILTIN_NAMES, BUILTIN_PARAMS
-from .errors import ConfigFileError, ConfigParseError, ConfigSchemaError
+from .benchmarks import BUILTIN_NAMES, BUILTIN_PARAMS, make_builtin
+from .errors import ConfigFileError, ConfigParseError, ConfigSchemaError, UsageError
 from .space import CHOICE, FIXED, RANGE_FLOAT, RANGE_INT, ParameterSpec, SearchSpace
 
 _TOP_KEYS = {"space", "objective", "minimize", "total_trials", "seed", "out_dir"}
@@ -112,6 +112,10 @@ def _parse_objective(obj) -> BuiltinObjective | CommandObjective:
         _require(name in BUILTIN_NAMES, f"unknown builtin objective {name!r}")
         _reject_unknown(block, {"name", *BUILTIN_PARAMS[name]}, f"'objective.builtin' ({name})")
         params = {k: v for k, v in block.items() if k != "name"}
+        try:
+            make_builtin(name, params)  # make_builtin owns the config-value checks
+        except UsageError as exc:
+            raise ConfigSchemaError(str(exc)) from None
         return BuiltinObjective(name=name, params=params)
     block = obj["command"]
     if isinstance(block, str):

@@ -122,7 +122,7 @@ def new_experiment(space: SearchSpace, minimize: bool = True, seed: int = 0) -> 
     """Validate the space and open an empty experiment."""
     report = validate_space(space)
     if not report.ok:
-        details = "; ".join(f"{v.param}: {v.message}" for v in report.violations)
+        details = "; ".join(map(str, report.violations))
         raise UsageError(f"invalid search space: {details}")
     for warning in report.warnings:
         logger.warning("%s", warning)

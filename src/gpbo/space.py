@@ -140,6 +140,9 @@ class Violation:
     param: str | None
     message: str
 
+    def __str__(self) -> str:
+        return self.message if self.param is None else f"parameter {self.param!r}: {self.message}"
+
 
 @dataclass(frozen=True)
 class ValidationReport:

@@ -152,14 +152,15 @@ class TestLogEi:
         gamma = np.concatenate([rng.uniform(-150, 5, 200), [-100.0, -1.0, 0.0]])
         sd = rng.uniform(0.05, 3.0, gamma.shape[0])
         mu = -gamma * sd
-        _, d_mu, d_sd = log_ei(summary(mu, sd), 0.0)
+        var = sd**2
+        _, d_mu, d_var = log_ei(PosteriorSummary(mu, var), 0.0)
         step = 1e-6
         fd_mu = (log_ei(summary(mu + step * sd, sd), 0.0)[0]
                  - log_ei(summary(mu - step * sd, sd), 0.0)[0]) / (2 * step * sd)
-        fd_sd = (log_ei(summary(mu, sd * (1 + step)), 0.0)[0]
-                 - log_ei(summary(mu, sd * (1 - step)), 0.0)[0]) / (2 * step * sd)
+        fd_var = (log_ei(PosteriorSummary(mu, var * (1 + step)), 0.0)[0]
+                  - log_ei(PosteriorSummary(mu, var * (1 - step)), 0.0)[0]) / (2 * step * var)
         np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-5)
-        np.testing.assert_allclose(d_sd, fd_sd, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(d_var, fd_var, rtol=1e-5, atol=1e-6)
 
     def test_sd_below_floor_is_clamped(self):
         # The hinge's log where it is positive, and finite where it is 0.

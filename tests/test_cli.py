@@ -19,7 +19,7 @@ from gpbo import (
     suggest,
     complete_trial,
 )
-from gpbo.benchmarks import GroupWeightsBench, builtin_objective, default_space
+from gpbo.benchmarks import BUILTIN_PARAMS, GROUP_WEIGHT_NAMES, default_space, make_builtin
 from gpbo.cli import main, run
 from gpbo.config import BuiltinObjective, CommandObjective, parse_config
 from gpbo.external import subprocess_evaluate
@@ -125,56 +125,88 @@ class TestParseConfig:
 
 class TestBuiltinObjectives:
     def test_quadratic_minimum(self):
-        obs = builtin_objective("quadratic1d", {}, Arm("a", {"x": 0.3}))
+        obs = make_builtin("quadratic1d", {})(Arm("a", {"x": 0.3}))
         assert obs.objective == 0.0
         assert obs.sem is None
 
     def test_groupweights_residual_at_targets(self):
-        bench = {"targets": [0.3, 0.7, 0.5], "noise_sd": 0.0}
-        arm = Arm("a", {"w_fg": 0.3, "w_rg": 0.7, "w_ccg": 0.5})
-        obs = builtin_objective("groupweights3d", bench, arm)
-        assert obs.objective == pytest.approx(0.1 * 0.3 * 0.7, abs=1e-15)
+        arm = Arm("a", dict(zip(GROUP_WEIGHT_NAMES, (0.25, 0.6, 0.4))))
+        obs = make_builtin("groupweights3d", {})(arm)
+        assert obs.objective == pytest.approx(0.1 * 0.25 * 0.6, abs=1e-15)
+        assert obs.sem is None
 
     def test_groupweights_noise_is_deterministic_per_arm(self):
-        bench = {"noise_sd": 0.05, "seed": 3}
+        objective = make_builtin("groupweights3d", {"noise_sd": 0.05})
         arm = Arm("a", {"w_fg": 0.2, "w_rg": 0.4, "w_ccg": 0.6})
         other = Arm("b", {"w_fg": 0.2, "w_rg": 0.4, "w_ccg": 0.61})
-        first = builtin_objective("groupweights3d", bench, arm)
-        again = builtin_objective("groupweights3d", bench, arm)
+        first = objective(arm)
+        again = make_builtin("groupweights3d", {"noise_sd": 0.05})(arm)
         assert first.objective == again.objective
         assert first.sem == 0.05
-        assert builtin_objective("groupweights3d", bench, other).objective != first.objective
+        assert objective(other).objective != first.objective
+
+    @pytest.mark.parametrize(
+        "w_fg, bits",
+        [(0.1, "0x1.134455add75cep-4"), (0.2, "0x1.87f14cf8dac75p-4"),
+         (0.77, "0x1.c1b32f1461fe0p-2")],
+    )
+    def test_groupweights_noise_bits_are_pinned(self, w_fg, bits):
+        # The noise seed is fixed, so these values hold across versions.
+        arm = Arm("a", {"w_fg": w_fg, "w_rg": 0.4, "w_ccg": 0.6})
+        obs = make_builtin("groupweights3d", {"noise_sd": 0.05})(arm)
+        assert obs.objective == float.fromhex(bits)
 
     def test_branin_grid_minimum_is_reachable(self):
         # The mapped-domain minimum matches the classical value, and the
         # builtin hits it at a known optimum (x1 = pi, x2 = 2.275).
         assert branin_grid_minimum(1000) == pytest.approx(0.397887, abs=2e-3)
-        obs = builtin_objective(
-            "branin2d", {}, Arm("a", {"u1": (np.pi + 5) / 15, "u2": 2.275 / 15})
-        )
+        arm = Arm("a", {"u1": (np.pi + 5) / 15, "u2": 2.275 / 15})
+        obs = make_builtin("branin2d", {})(arm)
         assert obs.objective == pytest.approx(0.397887, abs=1e-5)
 
     def test_hartmann6_global_minimum(self):
         x_star = (0.20169, 0.150011, 0.476874, 0.275332, 0.311652, 0.6573)
         arm = Arm("a", {f"x{i}": v for i, v in enumerate(x_star, start=1)})
         assert arm.values.keys() == {p.name for p in default_space("hartmann6").params}
-        obs = builtin_objective("hartmann6", {}, arm)
+        obs = make_builtin("hartmann6", {})(arm)
         assert obs.objective == pytest.approx(-3.32237, abs=1e-5)
         assert obs.sem is None
 
     def test_unknown_name(self):
-        with pytest.raises(UsageError):
-            builtin_objective("nope", {}, Arm("a", {"x": 0.0}))
+        with pytest.raises(UsageError, match="nope"):
+            make_builtin("nope", {})
+        with pytest.raises(UsageError, match="nope"):
+            default_space("nope")
 
     def test_groupweights_requires_named_weights(self):
+        objective = make_builtin("groupweights3d", {})
         with pytest.raises(UsageError, match="w_fg"):
-            builtin_objective("groupweights3d", {}, Arm("a", {"a": 1, "b": 2, "c": 3}))
+            objective(Arm("a", {"a": 1, "b": 2, "c": 3}))
+
+    def test_positional_builtins_check_the_arm_size(self):
+        objective = make_builtin("branin2d", {})
+        with pytest.raises(UsageError, match="exactly 2 parameter"):
+            objective(Arm("a", {"x": 0.5}))
+        # Values are read in order, whatever their names.
+        assert objective(Arm("a", {"p": 0.5, "q": 0.5})) == objective(
+            Arm("b", {"u1": 0.5, "u2": 0.5})
+        )
 
     def test_bench_validation(self):
-        with pytest.raises(UsageError):
-            GroupWeightsBench(targets=(0.5, 0.5, 1.5))
-        with pytest.raises(UsageError):
-            GroupWeightsBench(curvature=(1.0, 0.0, 1.0))
+        assert BUILTIN_PARAMS["groupweights3d"] == {"noise_sd"}
+        for noise_sd in (-1.0, float("nan"), float("inf"), "abc", True, 10**400):
+            with pytest.raises(UsageError, match="noise_sd"):
+                make_builtin("groupweights3d", {"noise_sd": noise_sd})
+
+    @pytest.mark.parametrize("name", ["quadratic1d", "branin2d", "groupweights3d", "hartmann6"])
+    def test_default_space_is_unit_floats(self, name):
+        space = default_space(name)
+        assert all(
+            p.kind == "range-float" and (p.lower, p.upper) == (0.0, 1.0) and not p.log_scale
+            for p in space.params
+        )
+        if name == "groupweights3d":
+            assert tuple(p.name for p in space.params) == GROUP_WEIGHT_NAMES
 
 
 def child(code):
@@ -436,6 +468,65 @@ class TestMain:
         assert main(["run", str(path)]) == 2
         assert "'command'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ([{"name": f"x{i}", "kind": "range-float", "lower": 0.0, "upper": 1.0}
+              for i in range(22)],
+             "space has 22 free dimensions; Sobol supports at most 21"),
+            ([{"name": "c", "kind": "fixed", "value": 1}],
+             "space must contain at least one non-fixed parameter"),
+        ],
+        ids=["22-parameters", "all-fixed"],
+    )
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_space_wide_violation_printed_once(self, tmp_path, capsys, space, message, subcommand):
+        doc = {"space": space, "objective": {"command": "true"}, "out_dir": str(tmp_path / "never")}
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert err.count(message) == 1
+        assert f"error: {message}\n" in err
+        assert "parameter None" not in err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_parameter_violation_names_the_parameter(self, tmp_path, capsys, subcommand):
+        space = [{"name": "x", "kind": "range-float", "lower": 1.0, "upper": 0.0}]
+        doc = dict(MINIMAL, space=space, out_dir=str(tmp_path / "never"))
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == "error: parameter 'x': lower < upper required\n"
+
+    @pytest.mark.parametrize(
+        "noise_sd", ["abc", True, -1, 1e400, 10**400],
+        ids=["string", "bool", "negative", "inf", "huge-int"],
+    )
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_bad_noise_sd_exits_2(self, tmp_path, capsys, noise_sd, subcommand):
+        doc = {
+            "space": [{"name": w, "kind": "range-float", "lower": 0.0, "upper": 1.0}
+                      for w in GROUP_WEIGHT_NAMES],
+            "objective": {"builtin": {"name": "groupweights3d", "noise_sd": noise_sd}},
+            "out_dir": str(tmp_path / "never"),
+        }
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert "'noise_sd' must be a finite number >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("key, value", [("targets", [0.3, 0.7, 0.5]),
+                                            ("curvature", [1.0, 1.0, 1.0]), ("seed", 3)])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_groupweights_accepts_only_noise_sd(self, tmp_path, capsys, key, value, subcommand):
+        builtin = {"name": "groupweights3d", "noise_sd": 0.01, key: value}
+        doc = {
+            "space": [{"name": w, "kind": "range-float", "lower": 0.0, "upper": 1.0}
+                      for w in GROUP_WEIGHT_NAMES],
+            "objective": {"builtin": builtin},
+            "out_dir": str(tmp_path / "never"),
+        }
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_run_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"

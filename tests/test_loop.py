@@ -42,8 +42,11 @@ class TestNewExperiment:
 
     def test_invalid_space_rejected_with_violations(self):
         space = SearchSpace([ParameterSpec.fixed("c", 1)])
-        with pytest.raises(UsageError, match="non-fixed"):
+        with pytest.raises(UsageError, match="non-fixed") as raised:
             new_experiment(space)
+        assert str(raised.value) == (
+            "invalid search space: space must contain at least one non-fixed parameter"
+        )
 
     def test_equal_inputs_equal_serialized_state(self):
         a = new_experiment(unit_space(2), minimize=False, seed=9)

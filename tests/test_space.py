@@ -64,6 +64,12 @@ class TestValidateSpace:
         report = validate_space(space)
         assert any("non-fixed" in v.message for v in report.violations)
 
+    def test_violation_names_its_parameter_only_when_it_has_one(self):
+        (named,) = validate_space(SearchSpace([ParameterSpec.range_float("x", 1.0, 0.0)])).violations
+        assert str(named) == "parameter 'x': lower < upper required"
+        (space_wide,) = validate_space(SearchSpace([ParameterSpec.fixed("c", 3)])).violations
+        assert str(space_wide) == "space must contain at least one non-fixed parameter"
+
     def test_log_scale_requires_positive_lower(self):
         space = SearchSpace([ParameterSpec.range_float("x", 0.0, 1.0, log_scale=True)])
         assert not validate_space(space).ok
