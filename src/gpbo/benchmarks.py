@@ -114,14 +114,21 @@ BUILTIN_PARAMS["groupweights3d"] = frozenset({"noise_sd"})
 
 
 def _entry(name: str):
-    if name not in _BUILTINS:
-        raise UsageError(f"unknown builtin objective {name!r}")
+    # A tuple test, not a dict lookup, so an unhashable name is an unknown
+    # name rather than a TypeError.
+    if name not in BUILTIN_NAMES:
+        raise UsageError(
+            f"unknown builtin objective {name!r}; choose from {', '.join(BUILTIN_NAMES)}"
+        )
     return _BUILTINS[name]
 
 
 def make_builtin(name: str, params: dict):
-    """Evaluator of one arm for the loop; checks the name and config up front."""
+    """Evaluator of one arm for the loop; checks the name, keys and values up front."""
     names, objective = _entry(name)
+    unknown = sorted(set(params) - BUILTIN_PARAMS[name])
+    if unknown:
+        raise UsageError(f"unknown key(s) {unknown} for builtin {name!r}")
     if BUILTIN_PARAMS[name]:
         return objective(**params)
 

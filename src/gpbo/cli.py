@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .benchmarks import BUILTIN_NAMES, default_space, make_builtin
 from .config import BuiltinObjective, RunConfig, parse_config
-from .errors import ConfigError, GpboError
+from .errors import ConfigError
 from .external import make_command_evaluator
 from .loop import NoCompletedTrialsError, TrialStatus, optimize
 from .space import ValidationReport, validate_space
@@ -43,11 +43,7 @@ def run(config: RunConfig) -> int:
     report = validate_space(config.space)
     if not report.ok:
         return _print_violations(report)
-    try:
-        evaluator = _make_evaluator(config)
-    except GpboError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    evaluator = _make_evaluator(config)
     out_dir = Path(config.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -92,22 +88,14 @@ def run(config: RunConfig) -> int:
 
 
 def _cmd_run(args) -> int:
-    try:
-        config = parse_config(args.config).override(
-            out_dir=args.out_dir, seed=args.seed, total_trials=args.trials
-        )
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = parse_config(args.config).override(
+        out_dir=args.out_dir, seed=args.seed, total_trials=args.trials
+    )
     return run(config)
 
 
 def _cmd_validate(args) -> int:
-    try:
-        config = parse_config(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = parse_config(args.config)
     report = validate_space(config.space)
     for warning in report.warnings:
         print(f"warning: {warning}")
@@ -126,21 +114,11 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.name not in BUILTIN_NAMES:
-        print(
-            f"error: unknown benchmark {args.name!r}; choose from {', '.join(BUILTIN_NAMES)}",
-            file=sys.stderr,
-        )
-        return EXIT_CONFIG
-    try:
-        config = RunConfig(
-            space=default_space(args.name),
-            objective=BuiltinObjective(name=args.name, params={}),
-            out_dir=args.out_dir or f"bench_{args.name}",
-        ).override(seed=args.seed, total_trials=args.trials)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # Built before the space, so that an unknown name is a ConfigError.
+    objective = BuiltinObjective(name=args.name, params={})
+    config = RunConfig(
+        space=default_space(args.name), objective=objective, out_dir=f"bench_{args.name}"
+    ).override(out_dir=args.out_dir, seed=args.seed, total_trials=args.trials)
     return run(config)
 
 
@@ -170,7 +148,12 @@ def main(argv=None) -> int:
     p_bench.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    # The one place a configuration error, wherever it is found, becomes exit 2.
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

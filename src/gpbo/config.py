@@ -1,13 +1,21 @@
-"""Run-configuration parsing: strict JSON, no silently ignored keys."""
+"""Run configuration: objects that check their own values, parsed from strict JSON.
+
+Building a :class:`RunConfig`, :class:`BuiltinObjective` or
+:class:`CommandObjective` with a bad value raises ConfigSchemaError, so
+file values, command-line overrides and API callers meet the same rules.
+:func:`parse_config` checks only the file, the JSON, unknown keys, the
+space entries and the shape of the objective block.
+"""
 
 from __future__ import annotations
 
 import json
 import shlex
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .benchmarks import BUILTIN_NAMES, BUILTIN_PARAMS, make_builtin
+from .benchmarks import make_builtin
 from .errors import ConfigFileError, ConfigParseError, ConfigSchemaError, UsageError
 from .space import CHOICE, FIXED, RANGE_FLOAT, RANGE_INT, ParameterSpec, SearchSpace
 
@@ -20,19 +28,37 @@ _PARAM_KEYS = {
 }
 _COMMAND_KEYS = {"command", "timeout"}
 
-DEFAULT_TIMEOUT = 60.0
-
 
 @dataclass(frozen=True)
 class BuiltinObjective:
     name: str
-    params: dict
+    params: dict  # the builtin's config keys besides its name
+
+    def __post_init__(self):
+        try:
+            make_builtin(self.name, self.params)  # the one check of name, keys and values
+        except UsageError as exc:
+            raise ConfigSchemaError(str(exc)) from None
 
 
 @dataclass(frozen=True)
 class CommandObjective:
     command: str
-    timeout: float = DEFAULT_TIMEOUT
+    timeout: float = 60.0
+
+    def __post_init__(self):
+        _require(isinstance(self.command, str), "'command' must be a nonempty string")
+        try:
+            argv = shlex.split(self.command)
+        except ValueError as exc:
+            raise ConfigSchemaError(f"'command' cannot be split into arguments: {exc}") from None
+        _require(bool(argv), "'command' must be a nonempty string")
+        # The upper bound keeps float() of a huge JSON integer from overflowing.
+        _require(
+            _is_a(self.timeout, (int, float)) and 0 < self.timeout <= sys.float_info.max,
+            "'timeout' must be a positive number",
+        )
+        object.__setattr__(self, "timeout", float(self.timeout))
 
 
 @dataclass(frozen=True)
@@ -45,17 +71,24 @@ class RunConfig:
     out_dir: str = "bo_out"
 
     def __post_init__(self):
-        # Here rather than in parse_config, so that --trials is held to it too.
-        total = self.total_trials
-        _require(
-            isinstance(total, int) and not isinstance(total, bool) and total >= 1,
-            "'total_trials' must be an integer >= 1",
-        )
+        _require(isinstance(self.objective, (BuiltinObjective, CommandObjective)),
+                 "'objective' must be a BuiltinObjective or CommandObjective")
+        _require(isinstance(self.minimize, bool), "'minimize' must be a boolean")
+        _require(_is_a(self.total_trials, int) and self.total_trials >= 1,
+                 "'total_trials' must be an integer >= 1")
+        _require(_is_a(self.seed, int), "'seed' must be an integer")
+        _require(isinstance(self.out_dir, str) and self.out_dir != "",
+                 "'out_dir' must be a nonempty string")
 
     def override(self, **kwargs) -> "RunConfig":
-        """Apply non-None command-line overrides, validated like the file."""
+        """Apply non-None command-line overrides, checked like the file's values."""
         updates = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **updates)
+
+
+def _is_a(value, types) -> bool:
+    """isinstance that does not count a bool as a number."""
+    return isinstance(value, types) and not isinstance(value, bool)
 
 
 def _reject_unknown(obj: dict, allowed: set[str], where: str) -> None:
@@ -79,16 +112,19 @@ def _parse_param(entry, position: int) -> ParameterSpec:
     _reject_unknown(entry, _PARAM_KEYS[kind], where)
     if kind in (RANGE_FLOAT, RANGE_INT):
         _require("lower" in entry and "upper" in entry, f"{where} requires 'lower' and 'upper'")
-        _require(
-            all(isinstance(entry[k], (int, float)) and not isinstance(entry[k], bool)
-                for k in ("lower", "upper")),
-            f"{where}: bounds must be numbers",
-        )
+        bounds = (entry["lower"], entry["upper"])
+        _require(all(_is_a(b, (int, float)) for b in bounds), f"{where}: bounds must be numbers")
         if kind == RANGE_FLOAT:
+            # float() overflows on an integer beyond float range; a float
+            # there is already inf, which validate_space reports.
+            _require(
+                all(isinstance(b, float) or abs(b) <= sys.float_info.max for b in bounds),
+                f"{where}: range bounds must be finite",
+            )
             log_scale = entry.get("log_scale", False)
             _require(isinstance(log_scale, bool), f"{where}: 'log_scale' must be a boolean")
-            return ParameterSpec.range_float(name, entry["lower"], entry["upper"], log_scale)
-        return ParameterSpec.range_int(name, entry["lower"], entry["upper"])
+            return ParameterSpec.range_float(name, *bounds, log_scale)
+        return ParameterSpec.range_int(name, *bounds)
     if kind == CHOICE:
         options = entry.get("options")
         _require(isinstance(options, list), f"{where}: 'options' must be a list")
@@ -108,42 +144,24 @@ def _parse_objective(obj) -> BuiltinObjective | CommandObjective:
         block = obj["builtin"]
         _require(isinstance(block, dict), "'objective.builtin' must be an object")
         _require("name" in block, "'objective.builtin' requires 'name'")
-        name = block["name"]
-        _require(name in BUILTIN_NAMES, f"unknown builtin objective {name!r}")
-        _reject_unknown(block, {"name", *BUILTIN_PARAMS[name]}, f"'objective.builtin' ({name})")
         params = {k: v for k, v in block.items() if k != "name"}
-        try:
-            make_builtin(name, params)  # make_builtin owns the config-value checks
-        except UsageError as exc:
-            raise ConfigSchemaError(str(exc)) from None
-        return BuiltinObjective(name=name, params=params)
+        return BuiltinObjective(name=block["name"], params=params)
     block = obj["command"]
     if isinstance(block, str):
         block = {"command": block}
     _require(isinstance(block, dict), "'objective.command' must be a string or object")
     _reject_unknown(block, _COMMAND_KEYS, "'objective.command'")
     _require("command" in block, "'objective.command' requires 'command'")
-    command = block["command"]
-    _require(isinstance(command, str), "'command' must be a nonempty string")
-    try:
-        argv = shlex.split(command)
-    except ValueError as exc:
-        raise ConfigSchemaError(f"'command' cannot be split into arguments: {exc}") from None
-    _require(bool(argv), "'command' must be a nonempty string")
-    timeout = block.get("timeout", DEFAULT_TIMEOUT)
-    _require(
-        isinstance(timeout, (int, float)) and not isinstance(timeout, bool) and timeout > 0,
-        "'timeout' must be a positive number",
-    )
-    return CommandObjective(command=command, timeout=float(timeout))
+    return CommandObjective(**block)
 
 
 def parse_config(path) -> RunConfig:
-    """Load and strictly validate a run configuration file.
+    """Load a run configuration file into a checked :class:`RunConfig`.
 
     Distinct failures: missing file (ConfigFileError), bad JSON
     (ConfigParseError), schema violations (ConfigSchemaError, naming the
-    offending key).
+    offending key), whether this function or one of the config objects
+    finds them.
     """
     path = Path(path)
     if not path.is_file():
@@ -162,17 +180,6 @@ def parse_config(path) -> RunConfig:
              "'space' must be a nonempty list")
     params = [_parse_param(entry, i) for i, entry in enumerate(document["space"])]
     objective = _parse_objective(document["objective"])
-    minimize = document.get("minimize", True)
-    _require(isinstance(minimize, bool), "'minimize' must be a boolean")
-    seed = document.get("seed", 0)
-    _require(isinstance(seed, int) and not isinstance(seed, bool), "'seed' must be an integer")
-    out_dir = document.get("out_dir", "bo_out")
-    _require(isinstance(out_dir, str) and out_dir != "", "'out_dir' must be a nonempty string")
-    return RunConfig(
-        space=SearchSpace(params),
-        objective=objective,
-        minimize=minimize,
-        total_trials=document.get("total_trials", 20),
-        seed=seed,
-        out_dir=out_dir,
-    )
+    # The settings the document leaves out take the RunConfig defaults.
+    settings = {k: v for k, v in document.items() if k not in ("space", "objective")}
+    return RunConfig(space=SearchSpace(params), objective=objective, **settings)

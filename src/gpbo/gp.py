@@ -262,19 +262,24 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     return _MllParts(value, grad, L, alpha, jitter)
 
 
-def _noise_diag(n: int, noise_diag) -> np.ndarray | None:
+def _dataset(X, y, noise_diag):
+    """The history as float arrays X (N, d), y (N,) and noise_diag (N,) or None."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float)
+    n = X.shape[0]
+    if y.shape != (n,):
+        raise SpaceError(f"y must have shape ({n},), one entry per row of X, got {y.shape}")
     if noise_diag is None:
-        return None
+        return X, y, None
     nd = np.asarray(noise_diag, dtype=float)
     if nd.shape != (n,):
         raise SpaceError(f"noise_diag must have shape ({n},), got {nd.shape}")
-    return nd
+    return X, y, nd
 
 
 def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllParts:
     """Validate a dataset and run the core routine at theta."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y, nd = _dataset(X, y, noise_diag)
     n = X.shape[0]
     if n < 1:
         raise UsageError("marginal likelihood requires at least one observation")
@@ -284,7 +289,6 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
             f"inputs have {X.shape[1]} columns, kernel has "
             f"{spec.lengthscales.shape[0]} lengthscales"
         )
-    nd = _noise_diag(n, noise_diag)
     sigma2 = 0.0 if nd is not None else theta.noise_variance
     return _mll_core(
         _sq_diffs(X), y, spec.family, spec.lengthscales, spec.signal_variance,
@@ -324,13 +328,9 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
 
     Accepts an empty history (N = 0), which yields the prior.
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
-    if X.shape[0] != y.shape[0]:
-        raise SpaceError(f"X has {X.shape[0]} rows but y has {y.shape[0]} entries")
+    X, y, nd = _dataset(X, y, noise_diag)
     if X.shape[0] == 0:
         return GpModel(X=X, theta=theta, chol_inv=None, alpha=None, jitter_used=0.0)
-    nd = _noise_diag(X.shape[0], noise_diag)
     return _assemble(X, theta, _evaluate(theta, X, y, nd, False))
 
 
@@ -419,14 +419,12 @@ def fit(
     seed : offsets the Sobol stream the non-default starts are drawn from
     start : optional hyperparameters refined as one extra start
     """
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    y = np.asarray(y, dtype=float)
+    X, y, nd = _dataset(X, y, noise_diag)
     n, d = X.shape
     if n < 1:
         raise UsageError("fit requires at least one observation")
     if restarts < 1:
         raise UsageError("fit requires at least one restart")
-    nd = _noise_diag(n, noise_diag)
     with_noise = nd is None
     bounds = _fit_bounds(d, with_noise)
     lo = np.array([b[0] for b in bounds])

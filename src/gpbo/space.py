@@ -19,6 +19,7 @@ always works on a smooth box.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +173,8 @@ def validate_space(space: SearchSpace) -> ValidationReport:
             if p.lower is None or p.upper is None:
                 violations.append(Violation(p.name, "range parameter requires lower and upper"))
                 continue
-            if not (np.isfinite(p.lower) and np.isfinite(p.upper)):
+            # Not np.isfinite, which raises TypeError on an int beyond float range.
+            if not all(abs(b) <= sys.float_info.max for b in (p.lower, p.upper)):
                 violations.append(Violation(p.name, "range bounds must be finite"))
                 continue
             if not p.lower < p.upper:

@@ -21,7 +21,7 @@ from gpbo import (
 )
 from gpbo.benchmarks import BUILTIN_PARAMS, GROUP_WEIGHT_NAMES, default_space, make_builtin
 from gpbo.cli import main, run
-from gpbo.config import BuiltinObjective, CommandObjective, parse_config
+from gpbo.config import BuiltinObjective, CommandObjective, RunConfig, parse_config
 from gpbo.external import subprocess_evaluate
 from gpbo.trial_log import TrialLogRecord, read_trial_log, write_trial_log
 
@@ -123,6 +123,45 @@ class TestParseConfig:
         assert updated.out_dir == config.out_dir
 
 
+def run_config(**kwargs):
+    defaults = {"space": default_space("quadratic1d"), "objective": BuiltinObjective("quadratic1d", {})}
+    return RunConfig(**{**defaults, **kwargs})
+
+
+class TestConfigObjects:
+    @pytest.mark.parametrize(
+        "build, kwargs, message",
+        [
+            (run_config, {"seed": "x"}, "'seed' must be an integer"),
+            (run_config, {"out_dir": ""}, "'out_dir' must be a nonempty string"),
+            (run_config, {"minimize": 1}, "'minimize' must be a boolean"),
+            (run_config, {"objective": "quadratic1d"}, "'objective' must be"),
+            (CommandObjective, {"command": "true", "timeout": 10**400},
+             "'timeout' must be a positive number"),
+            (CommandObjective, {"command": "true", "timeout": float("inf")},
+             "'timeout' must be a positive number"),
+            (CommandObjective, {"command": "   "}, "'command' must be a nonempty string"),
+            (BuiltinObjective, {"name": "nope", "params": {}}, "unknown builtin objective 'nope'"),
+            (BuiltinObjective, {"name": "quadratic1d", "params": {"noise_sd": 0.5}},
+             "unknown key"),
+        ],
+        ids=["seed", "out_dir", "minimize", "objective", "huge-timeout", "inf-timeout",
+             "blank-command", "builtin-name", "builtin-key"],
+    )
+    def test_bad_value_raises_on_construction(self, build, kwargs, message):
+        with pytest.raises(ConfigSchemaError, match=message):
+            build(**kwargs)
+
+    def test_override_is_checked_like_the_file(self):
+        config = run_config()
+        with pytest.raises(ConfigSchemaError, match="'out_dir' must be a nonempty string"):
+            config.override(out_dir="")
+
+    def test_integer_timeout_is_held_as_float(self):
+        timeout = CommandObjective("true", 5).timeout
+        assert type(timeout) is float and timeout == 5.0
+
+
 class TestBuiltinObjectives:
     def test_quadratic_minimum(self):
         obs = make_builtin("quadratic1d", {})(Arm("a", {"x": 0.3}))
@@ -173,10 +212,22 @@ class TestBuiltinObjectives:
         assert obs.sem is None
 
     def test_unknown_name(self):
-        with pytest.raises(UsageError, match="nope"):
+        valid = "quadratic1d, branin2d, groupweights3d, hartmann6"
+        with pytest.raises(UsageError, match=f"'nope'; choose from {valid}"):
             make_builtin("nope", {})
         with pytest.raises(UsageError, match="nope"):
             default_space("nope")
+        with pytest.raises(UsageError, match=r"\['x'\]"):
+            make_builtin(["x"], {})
+
+    @pytest.mark.parametrize(
+        "name, key",
+        [("quadratic1d", "noise_sd"), ("quadratic1d", "targets"), ("branin2d", "targets"),
+         ("groupweights3d", "targets"), ("hartmann6", "targets")],
+    )
+    def test_unknown_keys_rejected_for_every_builtin(self, name, key):
+        with pytest.raises(UsageError, match=rf"unknown key\(s\) \['{key}'\] for builtin '{name}'"):
+            make_builtin(name, {key: 0.5})
 
     def test_groupweights_requires_named_weights(self):
         objective = make_builtin("groupweights3d", {})
@@ -527,6 +578,48 @@ class TestMain:
         assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
         assert f"unknown key(s) ['{key}']" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("argv", [["run", "config.json"], ["bench", "quadratic1d"]])
+    def test_empty_out_dir_flag_exits_2_and_writes_nothing(self, tmp_path, monkeypatch, capsys,
+                                                            argv):
+        write_config(tmp_path, MINIMAL)
+        monkeypatch.chdir(tmp_path)
+        assert main([*argv, "--out-dir", "", "--trials", "2"]) == 2
+        assert "'out_dir' must be a nonempty string" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+    @pytest.mark.parametrize("timeout", [10**400, float("inf")], ids=["huge-int", "inf"])
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_timeout_beyond_float_range_exits_2(self, tmp_path, capsys, timeout, subcommand):
+        out = tmp_path / "never"
+        doc = dict(MINIMAL, objective={"command": {"command": "true", "timeout": timeout}},
+                   out_dir=str(out))
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert "'timeout' must be a positive number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("range-float", "error: space[0]: range bounds must be finite\n"),
+         ("range-int", "error: parameter 'x': range bounds must be finite\n")],
+        ids=["range-float", "range-int"],
+    )
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_bound_beyond_float_range_exits_2(self, tmp_path, capsys, kind, message, subcommand):
+        out = tmp_path / "never"
+        space = [{"name": "x", "kind": kind, "lower": 0, "upper": 10**400}]
+        doc = dict(MINIMAL, space=space, out_dir=str(out))
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == message
+        assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_unhashable_builtin_name_exits_2(self, tmp_path, capsys, subcommand):
+        out = tmp_path / "never"
+        doc = dict(MINIMAL, objective={"builtin": {"name": ["x"]}}, out_dir=str(out))
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert "unknown builtin objective ['x']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_run_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"

@@ -154,6 +154,22 @@ class TestFactorize:
         assert excinfo.value.diagnostics["min_eigenvalue"] < 0
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda X, y: fit(X, y, restarts=2, seed=0),
+        lambda X, y: mll(default_hyperparams(2), X, y),
+        lambda X, y: mll_grad(default_hyperparams(2), X, y),
+        lambda X, y: make_model(X, y, default_hyperparams(2)),
+    ],
+    ids=["fit", "mll", "mll_grad", "make_model"],
+)
+def test_targets_must_match_the_rows_of_x(entry):
+    X = np.random.default_rng(0).random((6, 2))
+    with pytest.raises(SpaceError, match=r"y must have shape \(6,\)"):
+        entry(X, np.zeros(5))
+
+
 class TestMll:
     def test_single_unit_variance_point(self):
         theta = GpHyperparams(KernelSpec("rbf", np.array([1.0]), 0.5), MeanSpec(1.0), 0.5)

@@ -74,6 +74,12 @@ class TestValidateSpace:
         space = SearchSpace([ParameterSpec.range_float("x", 0.0, 1.0, log_scale=True)])
         assert not validate_space(space).ok
 
+    @pytest.mark.parametrize("upper", [10**400, math.inf, math.nan], ids=["huge-int", "inf", "nan"])
+    def test_bounds_beyond_float_range_are_a_violation(self, upper):
+        space = SearchSpace([ParameterSpec.range_int("k", 0, upper)])
+        (violation,) = validate_space(space).violations
+        assert str(violation) == "parameter 'k': range bounds must be finite"
+
     def test_int_bounds_must_be_integers(self):
         space = SearchSpace([ParameterSpec(name="k", kind="range-int", lower=0.5, upper=3)])
         assert not validate_space(space).ok

@@ -1,10 +1,12 @@
 """The public surface that the benchmark and the README depend on."""
 
+import csv
 import importlib
 import sys
 from pathlib import Path
 
 import gpbo
+import gpbo.cli
 import gpbo.loop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,3 +102,16 @@ def test_readme_ask_tell_example_runs():
     assert len(trials) == 20
     assert [t.generator for t in trials[:5]] == [gpbo.GeneratorKind.SOBOL] * 5
     assert all(t.status == gpbo.TrialStatus.COMPLETED for t in trials)
+
+
+def test_readme_config_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("### Config schema")[1]
+    config = tmp_path / "config.json"
+    config.write_text(section.split("```json\n")[1].split("```")[0])
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "out"
+    assert gpbo.cli.main(["run", str(config), "--trials", "6", "--out-dir", str(out)]) == 0
+    with (out / "trials.csv").open(newline="") as fh:
+        statuses = [row["status"] for row in csv.DictReader(fh)]
+    assert statuses == ["COMPLETED"] * 6
