@@ -144,17 +144,28 @@ class PosteriorSummary:
 def _kernel_from_r2(family: str, s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """k on scaled squared distances r2, and its radial factor -2 dk/d(r2).
 
-    Matern-5/2 takes one sqrt and one exp: with a = 1 + sqrt5 r and
-    e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e and the radial factor is
-    5/3 a e.
+    Overwrites r2, which becomes k.  Matern-5/2 takes one sqrt and one
+    exp: with a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e
+    and the radial factor is 5/3 a e.  For RBF both are the same array, so
+    neither may be edited in place.
     """
     if family == RBF:
-        K = s2 * np.exp(-0.5 * r2)
-        return K, K
-    r = np.sqrt(r2)
-    a = 1.0 + _SQRT5 * r
-    e = s2 * np.exp(-_SQRT5 * r)
-    return ((5.0 / 3.0) * r2 + a) * e, (5.0 / 3.0) * (a * e)
+        r2 *= -0.5
+        np.exp(r2, out=r2)
+        r2 *= s2
+        return r2, r2
+    a = np.sqrt(r2)
+    e = np.multiply(a, -_SQRT5)
+    np.exp(e, out=e)
+    e *= s2
+    a *= _SQRT5
+    a += 1.0
+    r2 *= 5.0 / 3.0
+    r2 += a
+    r2 *= e
+    a *= e
+    a *= 5.0 / 3.0
+    return r2, a
 
 
 def _jitters(K: np.ndarray):
@@ -179,21 +190,25 @@ def factorize(K: np.ndarray, noise_variance: float, noise_diag: np.ndarray | Non
     actually used).
     """
     K = np.asarray(K, dtype=float)
-    A = K.copy()
-    diag = A.reshape(-1)[:: A.shape[0] + 1]
-    if noise_diag is None:
-        diag += noise_variance
-    else:
-        diag += noise_variance + np.asarray(noise_diag, dtype=float)
+    n = K.shape[0]
+    loaded = K.diagonal() + (
+        noise_variance if noise_diag is None
+        else noise_variance + np.asarray(noise_diag, dtype=float)
+    )
     previous = 0.0
     for jitter in _jitters(K):
         if jitter != previous:
-            diag += jitter - previous
+            loaded += jitter - previous
             previous = jitter
-        L, info = dpotrf(A, lower=1)
+        # The one copy of K per attempt: dpotrf factors it in place, read
+        # through its transpose (Fortran order, the same symmetric matrix).
+        A = K.copy()
+        A.reshape(-1)[:: n + 1] = loaded
+        L, info = dpotrf(A.T, lower=1, overwrite_a=1)
         if info == 0:
             return L, jitter
-    diag -= previous
+    A = K.copy()
+    A.reshape(-1)[:: n + 1] = loaded - previous
     eigs = np.linalg.eigvalsh(A)
     raise NumericalError(
         "covariance not positive definite at maximum jitter",
@@ -455,7 +470,7 @@ def fit(
             )
         except NumericalError:
             return failed
-        if not np.isfinite(parts.value):
+        if not math.isfinite(parts.value):
             return failed
         # L-BFGS-B evaluates each start before it moves, so keeping the
         # largest mll evaluated makes the fit never worse than any start.
