@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +132,13 @@ class GpModel:
     @property
     def d(self) -> int:
         return self.X.shape[1]
+
+    @cached_property
+    def _query_invariants(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X / l)' as contiguous rows, one per dimension, and 1 / l: what
+        every posterior query of this model shares."""
+        inv_ls = 1.0 / self.theta.kernel.lengthscales
+        return np.ascontiguousarray((self.X * inv_ls).T), inv_ls
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,14 +523,17 @@ def _posterior_parts(model: GpModel, Xq, with_grad: bool):
         if not with_grad:
             return prior, None, None
         return prior, np.zeros(Xq.shape), np.zeros(Xq.shape)
-    # Explicit differences (not the a^2+b^2-2ab trick) so that coincident
-    # points give exactly zero.  Queries sit on rows and every row is
-    # reduced by einsum, never by BLAS, whose gemv and gemm kernels round
-    # the same row differently.
-    diff = (Xq[:, None, :] - model.X[None, :, :]) / spec.lengthscales
+    # Explicit differences of scaled inputs (not the a^2+b^2-2ab trick), so
+    # that coincident points give exactly zero, laid out as one contiguous
+    # (q, N) plane per dimension.  Queries sit on rows, and every row is
+    # reduced either by einsum or by one BLAS call of the same shape per
+    # row (a stacked matmul), never by a batched gemm, whose kernels round
+    # a row differently depending on how many rows share the call.
+    Xt, inv_ls = model._query_invariants
+    diff = (Xq * inv_ls).T[:, :, None] - Xt[:, None, :]
     kq, radial = _kernel_from_r2(spec.family, spec.signal_variance,
-                                 np.einsum("qij,qij->qi", diff, diff))
-    v = np.einsum("qi,ki->qk", kq, model.chol_inv)
+                                 np.einsum("jqi,jqi->qi", diff, diff))
+    v = np.matmul(kq[:, None, :], model.chol_inv.T)[:, 0]
     means = m + np.einsum("qi,i->q", kq, model.alpha)
     variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
     worst = variances.min()
@@ -533,11 +544,13 @@ def _posterior_parts(model: GpModel, Xq, with_grad: bool):
     summary = PosteriorSummary(means, np.maximum(variances, 0.0))
     if not with_grad:
         return summary, None, None
-    # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*.
-    w = np.einsum("qk,ki->qi", v, model.chol_inv)
-    dmean = -np.einsum("qi,qij->qj", radial * model.alpha, diff) / spec.lengthscales
-    dvar = 2.0 * np.einsum("qi,qij->qj", radial * w, diff) / spec.lengthscales
-    return summary, dmean, dvar
+    # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*.  One
+    # (d, N) by (N, 2) product per row reduces both gradients.
+    weights = np.empty((q, 2, model.n))
+    np.multiply(radial, model.alpha, out=weights[:, 0])
+    np.multiply(radial, np.matmul(v[:, None, :], model.chol_inv)[:, 0], out=weights[:, 1])
+    grads = np.matmul(diff.transpose(1, 0, 2), weights.transpose(0, 2, 1))
+    return summary, -grads[:, :, 0] * inv_ls, 2.0 * grads[:, :, 1] * inv_ls
 
 
 def posterior(model: GpModel, Xq) -> PosteriorSummary:
