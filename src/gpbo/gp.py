@@ -271,7 +271,7 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     # exactly symmetric.  (dpotri's product step rounds differently with
     # more than one OpenBLAS thread, which would break thread-count replay.)
     W = dtrtri(L, lower=1)[0]
-    P = np.outer(alpha, alpha)
+    P = alpha[:, None] * alpha
     P -= W.T @ W
     # The ladder's jitter is proportional to the mean diagonal of K, which
     # is s2, so it moves with log s2 as well: dK~/dlog s2 = K + jitter I.
