@@ -189,7 +189,11 @@ def validate_space(space: SearchSpace) -> ValidationReport:
         elif p.kind == CHOICE:
             if not p.options or len(p.options) < 2:
                 violations.append(Violation(p.name, "choice requires at least 2 options"))
-            elif len(set(p.options)) != len(p.options):
+            elif not all(o is None or isinstance(o, (str, int, float, np.generic))
+                         for o in p.options):
+                violations.append(Violation(
+                    p.name, "choice options must be strings, numbers, booleans or null"))
+            elif not _distinct(p.options):
                 violations.append(Violation(p.name, "choice options must be distinct"))
             if p.log_scale:
                 violations.append(Violation(p.name, "log_scale is only valid on float ranges"))
@@ -209,6 +213,24 @@ def validate_space(space: SearchSpace) -> ValidationReport:
             f"space has {space.d} free dimensions; surrogate optimization degrades beyond ~20"
         )
     return ValidationReport(tuple(violations), tuple(warnings))
+
+
+def format_value(v) -> str:
+    """A parameter value as the trial log writes it."""
+    if isinstance(v, bool):
+        return str(v)
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)
+
+
+def _distinct(options) -> bool:
+    """No two options are equal or share a trial-log cell (1 and "1" would
+    read back as one option)."""
+    cells = [format_value(o) for o in options]
+    return len(set(cells)) == len(cells) and not any(
+        a == b for i, a in enumerate(options) for b in options[i + 1:]
+    )
 
 
 def _check_value(p: ParameterSpec, v) -> None:

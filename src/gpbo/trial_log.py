@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .errors import UsageError
 from .loop import Experiment
-from .space import CHOICE, FIXED, RANGE_INT, SearchSpace
+from .space import CHOICE, FIXED, RANGE_INT, SearchSpace, format_value
 
 
 @dataclass(frozen=True)
@@ -28,14 +28,6 @@ class TrialLogRecord:
     objective: float | None
     sem: float | None
     status: str
-
-
-def _format_value(v) -> str:
-    if isinstance(v, bool):
-        return str(v)
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
 
 
 def _format_real(v: float | None) -> str:
@@ -56,7 +48,7 @@ def write_trial_log(experiment: Experiment, path) -> None:
                     [
                         t.index,
                         t.generator.value,
-                        *(_format_value(t.arm.values[n]) for n in names),
+                        *(format_value(t.arm.values[n]) for n in names),
                         _format_real(None if obs is None else obs.objective),
                         _format_real(None if obs is None else obs.sem),
                         t.status.value,
@@ -72,11 +64,11 @@ def _parse_param_value(cell: str, space: SearchSpace, name: str):
         return int(cell)
     if p.kind == CHOICE:
         for option in p.options:
-            if _format_value(option) == cell:
+            if format_value(option) == cell:
                 return option
         raise UsageError(f"value {cell!r} is not an option of parameter {name!r}")
     if p.kind == FIXED:
-        if _format_value(p.value) == cell:
+        if format_value(p.value) == cell:
             return p.value
         raise UsageError(f"value {cell!r} does not match fixed parameter {name!r}")
     return float(cell)

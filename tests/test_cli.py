@@ -621,6 +621,23 @@ class TestMain:
         assert "unknown builtin objective ['x']" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [([[1], [2]], "choice options must be strings, numbers, booleans or null"),
+         ([1, "1"], "choice options must be distinct")],
+        ids=["lists", "int-and-str"],
+    )
+    @pytest.mark.parametrize("subcommand", ["validate", "run"])
+    def test_choice_options_that_do_not_round_trip_exit_2(self, tmp_path, capsys, options,
+                                                          message, subcommand):
+        out = tmp_path / "never"
+        space = [{"name": "c", "kind": "choice", "options": options},
+                 {"name": "x", "kind": "range-float", "lower": 0.0, "upper": 1.0}]
+        doc = {"space": space, "objective": {"command": "true"}, "out_dir": str(out)}
+        assert main([subcommand, str(write_config(tmp_path, doc))]) == 2
+        assert capsys.readouterr().err == f"error: parameter 'c': {message}\n"
+        assert not out.exists()
+
     def test_run_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("")

@@ -59,6 +59,25 @@ class TestValidateSpace:
         report = validate_space(space)
         assert any(v.param == "c" for v in report.violations)
 
+    @pytest.mark.parametrize(
+        "options, message",
+        [([[1], [2]], "choice options must be strings, numbers, booleans or null"),
+         ([{"a": 1}, "b"], "choice options must be strings, numbers, booleans or null"),
+         ([1, "1"], "choice options must be distinct"),
+         ([1.0, "1"], "choice options must be distinct"),
+         ([1, True], "choice options must be distinct"),
+         (["a", "b", "a"], "choice options must be distinct")],
+        ids=["lists", "dict", "int-and-str", "float-and-str", "int-and-bool", "repeat"],
+    )
+    def test_choice_options_must_round_trip_through_the_trial_log(self, options, message):
+        space = SearchSpace([ParameterSpec.choice("c", options), ParameterSpec.range_float("x", 0, 1)])
+        report = validate_space(space)
+        assert [(v.param, v.message) for v in report.violations] == [("c", message)]
+
+    def test_distinct_scalar_choice_options_are_valid(self):
+        space = SearchSpace([ParameterSpec.choice("c", [2, "b", 3.5, True, None])])
+        assert validate_space(space).ok
+
     def test_all_fixed_space_is_invalid(self):
         space = SearchSpace([ParameterSpec.fixed("c", 3)])
         report = validate_space(space)
