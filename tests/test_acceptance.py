@@ -272,7 +272,9 @@ def test_criterion_08_desk_scale_convergence():
 
 def test_criterion_09_byte_determinism_across_thread_counts(tmp_path):
     """Same config and seed: trials.csv is byte-identical, even when the
-    BLAS thread pool is sized differently."""
+    BLAS thread pool is sized differently.  60 trials take the history to
+    the benchmark's N = 60, within the README's replay limit of about 96
+    observations."""
     config = {
         "space": [
             {"name": "w_fg", "kind": "range-float", "lower": 0.0, "upper": 1.0},
@@ -280,7 +282,7 @@ def test_criterion_09_byte_determinism_across_thread_counts(tmp_path):
             {"name": "w_ccg", "kind": "range-float", "lower": 0.0, "upper": 1.0},
         ],
         "objective": {"builtin": {"name": "groupweights3d", "noise_sd": 0.01}},
-        "total_trials": 10,
+        "total_trials": 60,
         "seed": 12345,
     }
     path = tmp_path / "config.json"

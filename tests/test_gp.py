@@ -508,7 +508,7 @@ class TestPosterior:
             ).variances
             assert np.all(after <= before + 1e-9)
 
-    @pytest.mark.parametrize("n,d", [(5, 2), (13, 1), (24, 3), (41, 4), (60, 5)])
+    @pytest.mark.parametrize("n,d", [(5, 2), (13, 1), (24, 3), (41, 4), (60, 5), (60, 6)])
     def test_batch_invariant(self, n, d):
         # A point's answer must not depend on how many points share the
         # query: the acquisition optimizer compares scores from calls of
@@ -543,10 +543,11 @@ def fitted_model(family, fixed_noise, n=12, d=3, seed=0):
 
 
 class TestPosteriorGrad:
+    @pytest.mark.parametrize("n,d", [(12, 3), (60, 6)])
     @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
     @pytest.mark.parametrize("family", ["matern52", "rbf"])
-    def test_matches_finite_differences(self, family, fixed_noise):
-        model = fitted_model(family, fixed_noise)
+    def test_matches_finite_differences(self, family, fixed_noise, n, d):
+        model = fitted_model(family, fixed_noise, n=n, d=d)
         Xq = np.random.default_rng(1).uniform(0.05, 0.95, (8, model.d))
         _, dmean, dvar = posterior_grad(model, Xq)
         step = 1e-6
@@ -578,17 +579,20 @@ class TestPosteriorGrad:
         np.testing.assert_array_equal(summary.means, reference.means)
         np.testing.assert_array_equal(summary.variances, reference.variances)
 
-    @pytest.mark.parametrize("n,d", [(5, 2), (24, 3), (60, 5)])
+    @pytest.mark.parametrize("n,d", [(5, 2), (24, 3), (60, 5), (60, 6)])
     def test_batch_invariant(self, n, d):
+        # The refine scores 1 to 8 points per call and the scatter 256.
         model = fitted_model("matern52", False, n=n, d=d, seed=n)
-        Q = np.random.default_rng(3).random((8, d))
+        Q = np.random.default_rng(3).random((256, d))
         summary, dmean, dvar = posterior_grad(model, Q)
-        for i in range(8):
-            one, dm, dv = posterior_grad(model, Q[i:i + 1])
-            assert one.means[0] == summary.means[i]
-            assert one.variances[0] == summary.variances[i]
-            np.testing.assert_array_equal(dm[0], dmean[i])
-            np.testing.assert_array_equal(dv[0], dvar[i])
+        for size in (1, 3, 24):
+            for start in range(0, 256 - size + 1, 29):
+                part = slice(start, start + size)
+                one, dm, dv = posterior_grad(model, Q[part])
+                np.testing.assert_array_equal(one.means, summary.means[part])
+                np.testing.assert_array_equal(one.variances, summary.variances[part])
+                np.testing.assert_array_equal(dm, dmean[part])
+                np.testing.assert_array_equal(dv, dvar[part])
 
     def test_empty_model_has_zero_gradient(self):
         model = make_model(np.empty((0, 2)), [], default_hyperparams(2))
