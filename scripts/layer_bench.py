@@ -2,13 +2,18 @@
 
 Each layer is timed as the median (with quartiles) of ``REPEATS`` calls
 on fixed inputs, in one process pinned to one CPU with one BLAS thread,
-against the ``src/`` of the checkout this script belongs to:
+against the ``src/`` of the checkout this script belongs to (or the one
+``--src`` names):
 
 * ``mll_grad_us``: one ``_mll_core`` with gradient, at (N, d) = (60, 2)
   with fitted noise and at (30, 5) with a fixed ``noise_diag``, each at
   the hyperparameters a fit picks on its data;
 * ``fit_ms``: one ``fit`` with 3 restarts plus a warm start from the fit
   on the history one observation shorter, on the same two datasets;
+* ``posterior_256_us``: one 256-point ``posterior`` on the two fitted
+  models, the size of one chunk of the acquisition's Sobol scatter;
+* ``refine_eval_us``: one evaluation of the acquisition refine's
+  objective, ``posterior_grad`` and ``log_ei`` on 8 points;
 * ``maximize_ms``: one ``maximize_acquisition`` on the two fitted models;
 * ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine.
 
@@ -21,33 +26,41 @@ host drift.
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
 and scipy versions.
 
+``--against PATH`` compares this checkout with another one instead.  It
+runs the script ``ROUNDS`` times per side in fresh interpreters,
+alternating which side goes first, against this checkout's ``src/`` and
+``PATH/src``.  Host drift moves both sides of a round alike, so for each
+layer it prints the median over rounds per side and the median and range
+of the per-round change/parent ratio; a range that stays on one side of
+1 is a change the host's drift cannot explain.  The last line is the
+same table as JSON.
+
 Usage:
     python scripts/layer_bench.py
+    python scripts/layer_bench.py --against ../parent-checkout
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
-import scipy  # noqa: E402
 
-import gpbo.acqopt  # noqa: E402
-import gpbo.gp  # noqa: E402
-from gpbo import SobolEngine, fit, incumbent_value, maximize_acquisition  # noqa: E402
-from gpbo.gp import _mll_core, _sq_diffs  # noqa: E402
-
+SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
 FIT_RESTARTS = 3
+ROUNDS = 10
+COUNT_KEYS = ("mll_core_calls", "posterior_grad_calls")
 
 
 def timed(call, scale: float) -> dict:
@@ -91,10 +104,21 @@ def dataset(n: int, d: int, seed: int, fixed_noise: bool):
     return X, y, noise_diag
 
 
-def main() -> int:
+def measure(src: Path) -> dict:
+    """Every layer's timing against the gpbo under ``src``."""
+    sys.path.insert(0, str(src))
+    import scipy
+
+    import gpbo.acqopt
+    import gpbo.gp
+    from gpbo import SobolEngine, fit, incumbent_value, maximize_acquisition
+    from gpbo.acquisition import log_ei
+    from gpbo.gp import _mll_core, _sq_diffs, posterior, posterior_grad
+
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     cases = {"n60_d2_fitted_noise": (60, 2, False), "n30_d5_fixed_noise": (30, 5, True)}
-    out = {"mll_grad_us": {}, "fit_ms": {}, "maximize_ms": {}}
+    out = {"mll_grad_us": {}, "fit_ms": {}, "posterior_256_us": {}, "refine_eval_us": {},
+           "maximize_ms": {}}
     for name, (n, d, fixed_noise) in cases.items():
         X, y, nd = dataset(n, d, seed=n + d, fixed_noise=fixed_noise)
         warm = fit(X[:-1], y[:-1], restarts=FIT_RESTARTS, seed=1,
@@ -111,7 +135,11 @@ def main() -> int:
 
         out["fit_ms"][name] = dict(
             timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))
+        queries = np.random.default_rng(4).random((256, d))
+        out["posterior_256_us"][name] = timed(lambda: posterior(model, queries), 1e6)
         incumbent = incumbent_value(model)
+        out["refine_eval_us"][name] = timed(
+            lambda: log_ei(posterior_grad(model, queries[:8])[0], incumbent), 1e6)
 
         def maximize_once():
             maximize_acquisition(model, incumbent, seed=3)
@@ -128,7 +156,71 @@ def main() -> int:
         numpy=np.__version__,
         scipy=scipy.__version__,
     )
-    print(json.dumps(out))
+    return out
+
+
+def layers(result: dict) -> dict:
+    """``layer.case`` -> the result's entry for it, timings and counts."""
+    flat = {}
+    for layer, value in result.items():
+        if isinstance(value, dict) and "median" in value:
+            flat[layer] = value
+        elif isinstance(value, dict):
+            for case, entry in value.items():
+                flat[f"{layer}.{case}"] = entry
+    return flat
+
+
+def compare(parent: Path) -> dict:
+    """Alternate ROUNDS fresh runs per side; per layer, the median per side
+    and the median and range of the per-round change/parent ratio."""
+    sides = {"change": SRC, "parent": parent / "src"}
+    runs = {"change": [], "parent": []}
+    for r in range(ROUNDS):
+        for side in (("change", "parent") if r % 2 == 0 else ("parent", "change")):
+            proc = subprocess.run(
+                [sys.executable, __file__, "--src", str(sides[side])],
+                capture_output=True, text=True, check=True,
+            )
+            runs[side].append(layers(json.loads(proc.stdout.splitlines()[-1])))
+    table = {}
+    for key in runs["change"][0]:
+        change = [run[key]["median"] for run in runs["change"]]
+        base = [run[key]["median"] for run in runs["parent"]]
+        ratios = [c / p for c, p in zip(change, base)]
+        row = {
+            "change": round(float(np.median(change)), 3),
+            "parent": round(float(np.median(base)), 3),
+            "ratio_median": round(float(np.median(ratios)), 3),
+            "ratio_range": [round(min(ratios), 3), round(max(ratios), 3)],
+        }
+        for count in COUNT_KEYS:
+            if count in runs["change"][0][key]:
+                row[count] = {"change": runs["change"][0][key][count],
+                              "parent": runs["parent"][0][key][count]}
+        table[key] = row
+    return {"rounds": ROUNDS, "repeats": REPEATS, "parent": str(parent), "layers": table}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, metavar="PATH",
+                        help="compare with the checkout at PATH, over alternating rounds")
+    parser.add_argument("--src", type=Path, default=SRC, metavar="DIR",
+                        help="time the gpbo package under DIR (default: this checkout's src/)")
+    args = parser.parse_args()
+    if args.against is None:
+        print(json.dumps(measure(args.src)))
+        return 0
+    if not (args.against / "src" / "gpbo").is_dir():
+        parser.error(f"{args.against} has no src/gpbo")
+    report = compare(args.against.resolve())
+    print(f"{'layer':40} {'parent':>10} {'change':>10} {'ratio':>7}  range")
+    for key, row in report["layers"].items():
+        low, high = row["ratio_range"]
+        print(f"{key:40} {row['parent']:10.3f} {row['change']:10.3f} "
+              f"{row['ratio_median']:7.3f}  {low:.3f}-{high:.3f}")
+    print(json.dumps(report))
     return 0
 
 
