@@ -217,8 +217,6 @@ def validate_space(space: SearchSpace) -> ValidationReport:
 
 def format_value(v) -> str:
     """A parameter value as the trial log writes it."""
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
