@@ -5,11 +5,11 @@ on fixed inputs, in one process pinned to one CPU with one BLAS thread,
 against the ``src/`` of the checkout this script belongs to (or the one
 ``--src`` names):
 
-* ``mll_grad_us``: one ``_mll_core`` with gradient, at (N, d) = (60, 2)
-  with fitted noise and at (30, 5) with a fixed ``noise_diag``, each at
-  the hyperparameters a fit picks on its data;
-* ``fit_ms``: one ``fit`` with 3 restarts plus a warm start from the fit
-  on the history one observation shorter, on the same two datasets;
+* ``mll_grad_us``: one ``mll_grad``, at (N, d) = (60, 2) with fitted
+  noise and at (30, 5) with a fixed ``noise_diag``, each at the
+  hyperparameters a fit picks on its data;
+* ``fit_ms``: one ``fit`` with its cold starts plus a warm start from the
+  fit on the history one observation shorter, on the same two datasets;
 * ``posterior_256_us``: one 256-point ``posterior`` on the two fitted
   models, the size of one chunk of the acquisition's Sobol scatter;
 * ``refine_eval_us``: one evaluation of the acquisition refine's
@@ -33,7 +33,8 @@ alternating which side goes first, against this checkout's ``src/`` and
 layer it prints the median over rounds per side and the median and range
 of the per-round change/parent ratio; a range that stays on one side of
 1 is a change the host's drift cannot explain.  The last line is the
-same table as JSON.
+same table as JSON.  A checkout whose ``fit`` still takes ``restarts``
+is given the loop's 3, so that both sides fit from as many starts.
 
 Usage:
     python scripts/layer_bench.py
@@ -43,6 +44,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import platform
@@ -58,7 +60,6 @@ import numpy as np  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
-FIT_RESTARTS = 3
 ROUNDS = 10
 COUNT_KEYS = ("mll_core_calls", "posterior_grad_calls")
 
@@ -113,25 +114,22 @@ def measure(src: Path) -> dict:
     import gpbo.gp
     from gpbo import SobolEngine, fit, incumbent_value, maximize_acquisition
     from gpbo.acquisition import log_ei
-    from gpbo.gp import _mll_core, _sq_diffs, posterior, posterior_grad
+    from gpbo.gp import mll_grad, posterior, posterior_grad
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+    starts = {"restarts": 3} if "restarts" in inspect.signature(fit).parameters else {}
     cases = {"n60_d2_fitted_noise": (60, 2, False), "n30_d5_fixed_noise": (30, 5, True)}
     out = {"mll_grad_us": {}, "fit_ms": {}, "posterior_256_us": {}, "refine_eval_us": {},
            "maximize_ms": {}}
     for name, (n, d, fixed_noise) in cases.items():
         X, y, nd = dataset(n, d, seed=n + d, fixed_noise=fixed_noise)
-        warm = fit(X[:-1], y[:-1], restarts=FIT_RESTARTS, seed=1,
-                   noise_diag=None if nd is None else nd[:-1]).theta
-        model = fit(X, y, restarts=FIT_RESTARTS, seed=2, noise_diag=nd, start=warm)
-        spec = model.theta.kernel
-        diff2 = _sq_diffs(X)
-        out["mll_grad_us"][name] = timed(lambda: _mll_core(
-            diff2, y, spec.family, spec.lengthscales, spec.signal_variance,
-            model.theta.noise_variance, model.theta.mean.constant, nd, True,
-        ), 1e6)
+        warm = fit(X[:-1], y[:-1], seed=1, noise_diag=None if nd is None else nd[:-1],
+                   **starts).theta
+        model = fit(X, y, seed=2, noise_diag=nd, start=warm, **starts)
+        out["mll_grad_us"][name] = timed(lambda: mll_grad(model.theta, X, y, nd), 1e6)
+
         def fit_once():
-            fit(X, y, restarts=FIT_RESTARTS, seed=2, noise_diag=nd, start=warm)
+            fit(X, y, seed=2, noise_diag=nd, start=warm, **starts)
 
         out["fit_ms"][name] = dict(
             timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))

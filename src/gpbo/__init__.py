@@ -9,7 +9,7 @@ Typical use::
 """
 
 from .acqopt import maximize_acquisition
-from .acquisition import ei, incumbent_value, std_normal_cdf, std_normal_pdf
+from .acquisition import ei, incumbent_value
 from .errors import (
     ConfigError,
     ConfigFileError,
@@ -36,7 +36,6 @@ from .gp import (
     mll,
     mll_grad,
     posterior,
-    rsample,
 )
 from .loop import (
     BestResult,
@@ -113,9 +112,6 @@ __all__ = [
     "new_experiment",
     "optimize",
     "posterior",
-    "rsample",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "suggest",
     "validate_space",
     "__version__",

@@ -32,19 +32,10 @@ _SQRT2 = np.sqrt(2.0)
 _FAR = 100.0
 
 
-def std_normal_pdf(z):
-    """Standard normal density."""
-    z = np.asarray(z, dtype=float)
+def _pdf(z: np.ndarray) -> np.ndarray:
+    """Standard normal density.  Its CDF is scipy's ``ndtr``, which switches
+    to erfc below zero, so Phi(-10) ~ 7.6e-24 keeps its digits."""
     return _INV_SQRT_2PI * np.exp(-0.5 * z * z)
-
-
-def std_normal_cdf(z):
-    """Standard normal CDF, accurate to a few ulps relative, deep into the left tail.
-
-    scipy's ``ndtr`` switches to erfc below zero, so Phi(-10) ~ 7.6e-24
-    keeps its digits where 0.5 (1 + erf(z / sqrt 2)) cancels to 0.
-    """
-    return ndtr(z)
 
 
 def _tail(gamma):
@@ -77,12 +68,12 @@ def ei(summary: PosteriorSummary, incumbent: float) -> np.ndarray:
     degenerate = sigma < _SIGMA_FLOOR
     safe_sigma = np.where(degenerate, 1.0, sigma)
     gamma = (incumbent - mu) / safe_sigma
-    pdf = std_normal_pdf(gamma)
+    pdf = _pdf(gamma)
     # Most scored points lie in the left tail, so the tail form is taken
     # everywhere and gamma Phi + phi only where gamma > -1.
     h = pdf * _tail(gamma)[1]
     near = gamma > -1.0
-    h[near] = gamma[near] * std_normal_cdf(gamma[near]) + pdf[near]
+    h[near] = gamma[near] * ndtr(gamma[near]) + pdf[near]
     limit = np.maximum(incumbent - mu, 0.0)
     return np.maximum(np.where(degenerate, limit, safe_sigma * h), 0.0)
 
@@ -104,8 +95,8 @@ def log_ei(summary: PosteriorSummary, incumbent: float):
     sigma = np.maximum(np.sqrt(summary.variances), _SIGMA_FLOOR)
     gamma = (incumbent - summary.means) / sigma
     near = np.maximum(gamma, -1.0)
-    cdf = std_normal_cdf(near)
-    h = near * cdf + std_normal_pdf(near)
+    cdf = ndtr(near)
+    h = near * cdf + _pdf(near)
     r, ratio = _tail(gamma)
     tail = gamma <= -1.0
     log_h = np.where(tail, -0.5 * gamma * gamma - _HALF_LOG_2PI + np.log(ratio), np.log(h))

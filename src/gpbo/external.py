@@ -6,7 +6,7 @@ Request, written to the child's stdin as a single UTF-8 JSON document:
 
 Response, read from the child's stdout, also one JSON document:
 
-    {"objective": <number>, "sem": <number, optional>}
+    {"objective": <number>, "sem": <finite number >= 0, optional>}
 
 The child must exit 0.  Every failure mode (spawn, timeout, nonzero exit,
 unusable output) raises EvaluatorFault with a distinct kind, which the
@@ -16,11 +16,22 @@ loop records on the FAILED trial.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
 
 from .errors import EvaluatorFault
 from .space import Arm, Observation
+
+
+def _number(value, key: str) -> float:
+    """A JSON number as a float; anything else is malformed output."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise EvaluatorFault("malformed-output", f"{key!r} is not a number: {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise EvaluatorFault("malformed-output", f"{key!r} is beyond float range") from None
 
 
 def subprocess_evaluate(command: str, timeout: float, arm: Arm) -> Observation:
@@ -49,13 +60,13 @@ def subprocess_evaluate(command: str, timeout: float, arm: Arm) -> Observation:
         raise EvaluatorFault("malformed-output", f"not JSON: {text[:200]!r}") from None
     if not isinstance(response, dict) or "objective" not in response:
         raise EvaluatorFault("malformed-output", f"missing 'objective': {text[:200]!r}")
-    objective = response["objective"]
-    if not isinstance(objective, (int, float)) or isinstance(objective, bool):
-        raise EvaluatorFault("malformed-output", f"'objective' is not a number: {objective!r}")
+    objective = _number(response["objective"], "objective")
     sem = response.get("sem")
-    if sem is not None and (not isinstance(sem, (int, float)) or isinstance(sem, bool)):
-        raise EvaluatorFault("malformed-output", f"'sem' is not a number: {sem!r}")
-    return Observation(float(objective), None if sem is None else float(sem))
+    if sem is not None:
+        sem = _number(sem, "sem")
+        if not (math.isfinite(sem) and sem >= 0):
+            raise EvaluatorFault("malformed-output", f"'sem' must be finite and >= 0, got {sem}")
+    return Observation(objective, sem)
 
 
 def make_command_evaluator(command: str, timeout: float):

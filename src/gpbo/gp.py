@@ -5,19 +5,18 @@ standardized by the caller.  The model is
 
     f ~ GP(m, k),    y_i = f(x_i) + eps_i,   eps_i ~ N(0, sigma2)
 
-with a constant mean m and a stationary ARD kernel (Matern-5/2 by default,
-RBF selectable).  Inference is dense.  One routine builds K + sigma2*I,
-factorizes it through the one jitter ladder (:func:`factorize`, which
-escalates a diagonal jitter for near-singular covariances such as
-duplicate inputs), and returns the mll, its gradient, the Cholesky factor
-and alpha.  Fitting, :func:`mll`, :func:`mll_grad` and :func:`make_model`
-all call it; a model keeps the inverse of the factor found at its
-hyperparameters, computed once, and :func:`posterior` answers every
-query from that inverse and alpha.
+with a constant mean m and a stationary Matern-5/2 ARD kernel.  Inference
+is dense.  One routine builds K + sigma2*I, factorizes it through the one
+jitter ladder (:func:`factorize`, which escalates a diagonal jitter for
+near-singular covariances such as duplicate inputs), and returns the mll,
+its gradient, the Cholesky factor and alpha.  Fitting, :func:`mll`,
+:func:`mll_grad` and :func:`make_model` all call it; a model keeps the
+inverse of the factor found at its hyperparameters, computed once, and
+:func:`posterior` answers every query from that inverse and alpha.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
-mean) are chosen by multi-start maximization, optionally warm-started
-from a previous theta, of the log marginal likelihood
+mean) are chosen by maximizing, from the default theta, an optional warm
+start and ``FIT_RESTARTS - 1`` Sobol points, the log marginal likelihood
 
     log p(y | X, theta) = -1/2 (y-m)' (K+sigma2 I)^{-1} (y-m)
                           - sum_i log L_ii - N/2 log(2 pi)
@@ -45,12 +44,14 @@ from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
 from .sobol import MAX_DIMENSION, SobolEngine
 
 MATERN52 = "matern52"
-RBF = "rbf"
 
 LENGTHSCALE_BOUNDS = (1e-3, 1e3)
 SIGNAL_VARIANCE_BOUNDS = (1e-4, 1e4)
 NOISE_VARIANCE_BOUNDS = (1e-8, 1.0)
 MEAN_BOUNDS = (-2.0, 2.0)
+
+# Cold starts per fit, the default hyperparameters first.
+FIT_RESTARTS = 3
 
 # Relative jitter ladder; scaled by the mean diagonal of K when factorizing.
 JITTER_LADDER = (1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
@@ -61,14 +62,17 @@ _LOG_2PI = math.log(2.0 * math.pi)
 
 @dataclass(frozen=True, eq=False)
 class KernelSpec:
-    """Stationary ARD kernel: family, per-dimension lengthscales, amplitude."""
+    """Matern-5/2 ARD kernel: per-dimension lengthscales and amplitude.
+
+    ``family`` names the kernel and must be ``"matern52"``.
+    """
 
     family: str
     lengthscales: np.ndarray
     signal_variance: float
 
     def __post_init__(self):
-        if self.family not in (MATERN52, RBF):
+        if self.family != MATERN52:
             raise UsageError(f"unknown kernel family {self.family!r}")
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
         object.__setattr__(self, "lengthscales", ls)
@@ -100,10 +104,10 @@ class GpHyperparams:
             raise UsageError("noise_variance must be finite and >= 0")
 
 
-def default_hyperparams(d: int, family: str = MATERN52) -> GpHyperparams:
+def default_hyperparams(d: int) -> GpHyperparams:
     """A sane starting model for unit-cube inputs and standardized targets."""
     return GpHyperparams(
-        kernel=KernelSpec(family, np.full(d, 0.5), 1.0),
+        kernel=KernelSpec(MATERN52, np.full(d, 0.5), 1.0),
         mean=MeanSpec(0.0),
         noise_variance=1e-4,
     )
@@ -149,19 +153,14 @@ class PosteriorSummary:
     variances: np.ndarray
 
 
-def _kernel_from_r2(family: str, s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """k on scaled squared distances r2, and its radial factor -2 dk/d(r2).
+def _kernel_from_r2(s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matern-5/2 k on scaled squared distances r2, and its radial factor
+    -2 dk/d(r2).
 
-    Overwrites r2, which becomes k.  Matern-5/2 takes one sqrt and one
-    exp: with a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e
-    and the radial factor is 5/3 a e.  For RBF both are the same array, so
-    neither may be edited in place.
+    Overwrites r2, which becomes k.  One sqrt and one exp: with
+    a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e and the
+    radial factor is 5/3 a e.
     """
-    if family == RBF:
-        r2 *= -0.5
-        np.exp(r2, out=r2)
-        r2 *= s2
-        return r2, r2
     a = np.sqrt(r2)
     e = np.multiply(a, -_SQRT5)
     np.exp(e, out=e)
@@ -241,7 +240,7 @@ def _sq_diffs(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(((X[:, None, :] - X[None, :, :]) ** 2).transpose(2, 0, 1))
 
 
-def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_grad) -> _MllParts:
+def _mll_core(diff2, y, lengthscales, s2, sigma2, m, noise_diag, with_grad) -> _MllParts:
     """The marginal-likelihood routine behind fit, mll, mll_grad and make_model.
 
     Takes natural hyperparameters on precomputed squared differences
@@ -253,7 +252,7 @@ def _mll_core(diff2, y, family, lengthscales, s2, sigma2, m, noise_diag, with_gr
     """
     d, n, _ = diff2.shape
     ls2 = 1.0 / (lengthscales * lengthscales)
-    K, radial = _kernel_from_r2(family, s2, (ls2 @ diff2.reshape(d, -1)).reshape(n, n))
+    K, radial = _kernel_from_r2(s2, (ls2 @ diff2.reshape(d, -1)).reshape(n, n))
     L, jitter = factorize(K, sigma2, noise_diag)
     r = y - m
     alpha = dpotrs(L, r, lower=1)[0]
@@ -314,7 +313,7 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
         )
     sigma2 = 0.0 if nd is not None else theta.noise_variance
     return _mll_core(
-        _sq_diffs(X), y, spec.family, spec.lengthscales, spec.signal_variance,
+        _sq_diffs(X), y, spec.lengthscales, spec.signal_variance,
         sigma2, theta.mean.constant, nd, with_grad,
     )
 
@@ -366,14 +365,20 @@ def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
     return np.asarray(z)
 
 
-def _unpack(z: np.ndarray, d: int, family: str, with_noise: bool) -> GpHyperparams:
-    ls = np.exp(z[:d])
-    s2 = math.exp(z[d])
-    if with_noise:
-        noise = math.exp(z[d + 1])
-    else:
-        noise = 0.0
-    return GpHyperparams(KernelSpec(family, ls, s2), MeanSpec(float(z[-1])), noise)
+def _natural(z: np.ndarray, d: int, with_noise: bool):
+    """(lengthscales, signal variance, noise variance, mean) at z, the
+    layout of :func:`_pack`; noise variance 0 unless ``with_noise``.
+
+    The fit's objective and :func:`_unpack` both convert here, so
+    ``make_model`` at the fitted theta reproduces the fitted model bitwise.
+    """
+    noise = math.exp(z[d + 1]) if with_noise else 0.0
+    return np.exp(z[:d]), math.exp(z[d]), noise, float(z[-1])
+
+
+def _unpack(z: np.ndarray, d: int, with_noise: bool) -> GpHyperparams:
+    ls, s2, noise, m = _natural(z, d, with_noise)
+    return GpHyperparams(KernelSpec(MATERN52, ls, s2), MeanSpec(m), noise)
 
 
 def _fit_bounds(d: int, with_noise: bool) -> list[tuple[float, float]]:
@@ -386,31 +391,17 @@ def _fit_bounds(d: int, with_noise: bool) -> list[tuple[float, float]]:
     return bounds
 
 
-def _start_points(lo, hi, restarts: int, seed: int, given: list) -> list[np.ndarray]:
-    """The given starts, then restarts - 1 Sobol points over the box [lo, hi]."""
-    starts = list(given)
-    if restarts <= 1:
-        return starts
+def _start_points(lo, hi, seed: int, given: list) -> list[np.ndarray]:
+    """The given starts, then FIT_RESTARTS - 1 Sobol points over the box [lo, hi]."""
     k = len(lo)
     if k <= MAX_DIMENSION:
-        engine = SobolEngine(k).fast_forward(seed % 4096)
-        u = engine.next(restarts - 1)
+        u = SobolEngine(k).fast_forward(seed % 4096).next(FIT_RESTARTS - 1)
     else:
-        u = np.random.default_rng(seed).random((restarts - 1, k))
-    for row in u:
-        starts.append(lo + row * (hi - lo))
-    return starts
+        u = np.random.default_rng(seed).random((FIT_RESTARTS - 1, k))
+    return list(given) + [lo + row * (hi - lo) for row in u]
 
 
-def fit(
-    X,
-    y,
-    restarts: int = 10,
-    seed: int = 0,
-    family: str = MATERN52,
-    noise_diag=None,
-    start: GpHyperparams | None = None,
-) -> GpModel:
+def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None) -> GpModel:
     """Fit hyperparameters by multi-start maximum marginal likelihood.
 
     Each start runs bounded L-BFGS-B (max 200 iterations, projected
@@ -425,7 +416,7 @@ def fit(
     warm ``start`` (typically the previous fit's theta on a history one
     observation shorter), clipped into the bounds, is start 1, so the
     fitted mll is never worse than its mll either; then come
-    ``restarts - 1`` Sobol starts.  The returned model keeps the
+    ``FIT_RESTARTS - 1`` Sobol starts.  The returned model keeps the
     factorization computed at the winning hyperparameters, which
     ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
 
@@ -438,7 +429,6 @@ def fit(
     ----------
     X : (N, d) array of unit-cube inputs, N >= 1
     y : (N,) array of standardized targets
-    restarts : number of cold optimizer starts (>= 1), the default first
     seed : offsets the Sobol stream the non-default starts are drawn from
     start : optional hyperparameters refined as one extra start
     """
@@ -446,13 +436,11 @@ def fit(
     n, d = X.shape
     if n < 1:
         raise UsageError("fit requires at least one observation")
-    if restarts < 1:
-        raise UsageError("fit requires at least one restart")
     with_noise = nd is None
     bounds = _fit_bounds(d, with_noise)
     lo = np.array([b[0] for b in bounds])
     hi = np.array([b[1] for b in bounds])
-    default = default_hyperparams(d, family)
+    default = default_hyperparams(d)
     given = [np.clip(_pack(default, with_noise), lo, hi)]
     if start is not None:
         if start.kernel.lengthscales.shape != (d,):
@@ -468,14 +456,9 @@ def fit(
     best_z, best = None, None
 
     def objective(z):
-        # The same arithmetic as _unpack, so make_model(X, y, theta) at the
-        # winning z reproduces the fitted model bitwise.
         nonlocal best_z, best
-        sigma2 = math.exp(z[d + 1]) if with_noise else 0.0
         try:
-            parts = _mll_core(
-                diff2, y, family, np.exp(z[:d]), math.exp(z[d]), sigma2, z[-1], nd, True
-            )
+            parts = _mll_core(diff2, y, *_natural(z, d, with_noise), nd, True)
         except NumericalError:
             return failed
         if not math.isfinite(parts.value):
@@ -487,7 +470,7 @@ def fit(
         return -parts.value, -parts.grad
 
     failures = []
-    for idx, z0 in enumerate(_start_points(lo, hi, restarts, seed, given)):
+    for idx, z0 in enumerate(_start_points(lo, hi, seed, given)):
         try:
             minimize(
                 objective,
@@ -503,7 +486,7 @@ def fit(
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}
         )
-    return _assemble(X, _unpack(best_z, d, family, with_noise), best)
+    return _assemble(X, _unpack(best_z, d, with_noise), best)
 
 
 def _posterior_parts(model: GpModel, Xq, with_grad: bool):
@@ -531,8 +514,7 @@ def _posterior_parts(model: GpModel, Xq, with_grad: bool):
     # a row differently depending on how many rows share the call.
     Xt, inv_ls = model._query_invariants
     diff = (Xq * inv_ls).T[:, :, None] - Xt[:, None, :]
-    kq, radial = _kernel_from_r2(spec.family, spec.signal_variance,
-                                 np.einsum("jqi,jqi->qi", diff, diff))
+    kq, radial = _kernel_from_r2(spec.signal_variance, np.einsum("jqi,jqi->qi", diff, diff))
     v = np.matmul(kq[:, None, :], model.chol_inv.T)[:, 0]
     means = m + np.einsum("qi,i->q", kq, model.alpha)
     variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
@@ -578,22 +560,9 @@ def posterior_grad(model: GpModel, Xq) -> tuple[PosteriorSummary, np.ndarray, np
         d mu/dx_j     =    sum_i dk_i/dx_j alpha_i
         d sigma2/dx_j = -2 sum_i dk_i/dx_j (K~^{-1} k*)_i
 
-    with dk/dx_j = -k (x_j - z_j) / l_j^2 for RBF and
-    -(5/3) s2 (1 + sqrt5 r) exp(-sqrt5 r) (x_j - z_j) / l_j^2 for
-    Matern-5/2, which has no singularity at r = 0.  Batch-invariant like
+    with dk/dx_j = -(5/3) s2 (1 + sqrt5 r) exp(-sqrt5 r) (x_j - z_j) / l_j^2,
+    which has no singularity at r = 0.  Batch-invariant like
     :func:`posterior`.  The variance's gradient ignores its clamp at zero.
     An empty model has zero gradients.
     """
     return _posterior_parts(model, Xq, True)
-
-
-def rsample(summary: PosteriorSummary, n: int, seed: int) -> np.ndarray:
-    """Draw n independent samples per query point: mu + sigma * z.
-
-    Returns an (n, Q) array; the same seed reproduces the batch bitwise.
-    """
-    if n < 1:
-        raise UsageError(f"rsample requires n >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, summary.means.shape[0]))
-    return summary.means + np.sqrt(summary.variances) * z

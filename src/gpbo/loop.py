@@ -5,10 +5,10 @@ evaluating a single arm.  A trial opens RUNNING when :func:`suggest`
 creates it and closes through :func:`complete_trial` or :func:`fail_trial`.
 Generation is Sobol for the first ``INIT_ARMS`` completed trials and GP-EI
 afterwards: fit the surrogate on the completed history (encoded inputs,
-standardized outputs, always minimizing internally) with 3 cold restarts
-plus a warm start from the hyperparameters of the most recent fit, take
-the smallest posterior mean at an observed point as the incumbent, and
-propose the EI maximizer.  Degenerate proposals and fit failures fall
+standardized outputs, always minimizing internally) from the fit's cold
+starts plus a warm start from the hyperparameters of the most recent fit,
+take the smallest posterior mean at an observed point as the incumbent,
+and propose the EI maximizer.  Degenerate proposals and fit failures fall
 back to the next Sobol point rather than aborting.
 
 Maximization is handled entirely at this boundary by negating objectives
@@ -44,7 +44,6 @@ logger = logging.getLogger("gpbo.loop")
 
 DUPLICATE_TOLERANCE = 1e-9
 INIT_ARMS = 5
-FIT_RESTARTS = 3
 
 
 class NoCompletedTrialsError(UsageError):
@@ -186,7 +185,6 @@ def _history_model(
     model = fit_gp(
         X,
         y_std,
-        restarts=FIT_RESTARTS,
         seed=_derive_seed(experiment.seed, stream, k),
         noise_diag=noise_diag,
         start=next((t.theta for t in reversed(experiment.trials) if t.theta is not None), None),

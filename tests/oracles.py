@@ -3,8 +3,9 @@
 Everything here deliberately avoids the library's production code paths:
 dense matrix inverses instead of Cholesky solves, explicit Python loops
 instead of vectorized kernels, Gauss-Legendre quadrature instead of erf,
-and a direct XOR-of-direction-integers construction instead of the
-iterative Gray-code engine.  When an oracle and the library agree, the
+Monte-Carlo draws instead of closed forms, and a direct
+XOR-of-direction-integers construction instead of the iterative Gray-code
+engine.  When an oracle and the library agree, the
 agreement is between two genuinely different routes to the same number.
 """
 
@@ -18,49 +19,56 @@ import numpy as np
 SQRT5 = math.sqrt(5.0)
 
 
-def kernel_value(family, lengthscales, signal_variance, u, v) -> float:
-    """Scalar kernel evaluation by explicit per-coordinate loop."""
+def kernel_value(lengthscales, signal_variance, u, v) -> float:
+    """Scalar Matern-5/2 kernel evaluation by explicit per-coordinate loop."""
     r2 = 0.0
     for uj, vj, lj in zip(u, v, lengthscales):
         r2 += ((uj - vj) / lj) ** 2
-    if family == "rbf":
-        return signal_variance * math.exp(-0.5 * r2)
     r = math.sqrt(r2)
     return signal_variance * (1.0 + SQRT5 * r + 5.0 * r2 / 3.0) * math.exp(-SQRT5 * r)
 
 
-def kernel_matrix_loops(family, lengthscales, signal_variance, X, Z) -> np.ndarray:
+def kernel_matrix_loops(lengthscales, signal_variance, X, Z) -> np.ndarray:
     out = np.empty((len(X), len(Z)))
     for i, xi in enumerate(X):
         for j, zj in enumerate(Z):
-            out[i, j] = kernel_value(family, lengthscales, signal_variance, xi, zj)
+            out[i, j] = kernel_value(lengthscales, signal_variance, xi, zj)
     return out
 
 
-def dense_posterior(family, lengthscales, signal_variance, mean, noise_variance,
-                    X, y, Xq, noise_diag=None):
+def dense_posterior(lengthscales, signal_variance, mean, noise_variance, X, y, Xq,
+                    noise_diag=None):
     """Posterior mean/variance via an explicit dense inverse."""
     n = len(X)
-    K = kernel_matrix_loops(family, lengthscales, signal_variance, X, X)
+    K = kernel_matrix_loops(lengthscales, signal_variance, X, X)
     noise = np.full(n, noise_variance) if noise_diag is None else np.asarray(noise_diag, float)
     Kinv = np.linalg.inv(K + np.diag(noise))
-    ks = kernel_matrix_loops(family, lengthscales, signal_variance, X, Xq)
+    ks = kernel_matrix_loops(lengthscales, signal_variance, X, Xq)
     r = np.asarray(y, float) - mean
     means = mean + ks.T @ Kinv @ r
     variances = signal_variance - np.einsum("ij,ji->i", ks.T, Kinv @ ks)
     return means, variances
 
 
-def dense_mll(family, lengthscales, signal_variance, mean, noise_variance,
-              X, y, noise_diag=None) -> float:
+def dense_mll(lengthscales, signal_variance, mean, noise_variance, X, y,
+              noise_diag=None) -> float:
     """Log marginal likelihood via inverse and slogdet."""
     n = len(X)
-    K = kernel_matrix_loops(family, lengthscales, signal_variance, X, X)
+    K = kernel_matrix_loops(lengthscales, signal_variance, X, X)
     noise = np.full(n, noise_variance) if noise_diag is None else np.asarray(noise_diag, float)
     Ky = K + np.diag(noise)
     r = np.asarray(y, float) - mean
     _, logdet = np.linalg.slogdet(Ky)
     return float(-0.5 * r @ np.linalg.inv(Ky) @ r - 0.5 * logdet - 0.5 * n * math.log(2 * math.pi))
+
+
+def rsample(summary, n: int, seed: int) -> np.ndarray:
+    """n independent draws per query point of a posterior summary, mu + sigma z.
+
+    Returns an (n, Q) array; the same seed reproduces the batch bitwise.
+    """
+    z = np.random.default_rng(seed).standard_normal((n, summary.means.shape[0]))
+    return summary.means + np.sqrt(summary.variances) * z
 
 
 def normal_cdf_quadrature(z: float, nodes: int = 80) -> float:

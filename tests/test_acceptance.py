@@ -30,14 +30,13 @@ from gpbo import (
     mll_grad,
     optimize,
     posterior,
-    rsample,
 )
 from gpbo.benchmarks import default_space, make_builtin
 from gpbo.gp import _pack, _unpack, mll
 from gpbo.loop import GeneratorKind
 from gpbo.space import decode
 
-from oracles import dense_posterior, sobol_reference
+from oracles import dense_posterior, rsample, sobol_reference
 
 TABLE = Path(gpbo.sobol.__file__).with_name("sobol_directions.txt")
 
@@ -49,12 +48,12 @@ def report(number: int, ok: bool, detail: str) -> None:
 
 
 def random_instance(rng, max_n=8, max_d=3, noise_low=1e-6, min_gap=0.0, max_ls=1.2):
-    """Random well-posed GP instance.
+    """Random well-posed GP instance with a Matern-5/2 kernel.
 
     ``min_gap``/``max_ls`` bound the Gram matrix's conditioning: exact
     noise-free interpolation is only numerically meaningful when the
-    kernel matrix is far from singular (an analytic RBF kernel over
-    near-coincident points defeats any solver, dense oracles included).
+    kernel matrix is far from singular (near-coincident points under long
+    lengthscales defeat any solver, dense oracles included).
     """
     n = int(rng.integers(1, max_n + 1))
     d = int(rng.integers(1, max_d + 1))
@@ -67,9 +66,11 @@ def random_instance(rng, max_n=8, max_d=3, noise_low=1e-6, min_gap=0.0, max_ls=1
         if gaps.min() > min_gap:
             break
     y = rng.standard_normal(n)
-    family = "matern52" if rng.random() < 0.5 else "rbf"
+    # Instances once drew an RBF kernel on this draw, half the time.  It is
+    # still drawn, and ignored, so every instance keeps its X, y and theta.
+    rng.random()
     theta = GpHyperparams(
-        KernelSpec(family, rng.uniform(0.15, max_ls, d), float(rng.uniform(0.5, 2.0))),
+        KernelSpec("matern52", rng.uniform(0.15, max_ls, d), float(rng.uniform(0.5, 2.0))),
         MeanSpec(float(rng.uniform(-0.5, 0.5))),
         float(rng.uniform(noise_low, 0.1)),
     )
@@ -86,7 +87,7 @@ def test_criterion_01_gp_matches_dense_solve():
         Xq = rng.random((5, X.shape[1]))
         summary = posterior(make_model(X, y, theta), Xq)
         means, variances = dense_posterior(
-            theta.kernel.family, theta.kernel.lengthscales, theta.kernel.signal_variance,
+            theta.kernel.lengthscales, theta.kernel.signal_variance,
             theta.mean.constant, theta.noise_variance, X, y, Xq,
         )
         err_m = np.abs(summary.means - means) / (1.0 + np.abs(means))
@@ -105,7 +106,7 @@ def test_criterion_02_noise_free_interpolation():
     rng = np.random.default_rng(202)
     worst = 0.0
     for _ in range(100):
-        theta, X, y = random_instance(rng, min_gap=0.1, max_ls=0.5)
+        theta, X, y = random_instance(rng, min_gap=0.05)
         exact = GpHyperparams(theta.kernel, theta.mean, 0.0)
         summary = posterior(make_model(X, y, exact), X)
         worst = max(worst, float(np.abs(summary.means - y).max()))
@@ -120,7 +121,6 @@ def test_criterion_03_gradient_matches_finite_differences():
     for _ in range(100):
         theta, X, y = random_instance(rng, max_n=10)
         d = X.shape[1]
-        family = theta.kernel.family
         analytic = mll_grad(theta, X, y)
         z0 = _pack(theta, True)
         fd = np.empty_like(z0)
@@ -129,8 +129,8 @@ def test_criterion_03_gradient_matches_finite_differences():
             zp[i] += step
             zm[i] -= step
             fd[i] = (
-                mll(_unpack(zp, d, family, True), X, y)
-                - mll(_unpack(zm, d, family, True), X, y)
+                mll(_unpack(zp, d, True), X, y)
+                - mll(_unpack(zm, d, True), X, y)
             ) / (2 * step)
         err = np.abs(analytic - fd) / np.maximum(1.0, np.abs(fd))
         worst = max(worst, float(err.max()))

@@ -70,7 +70,7 @@ class TestMaximizeAcquisition:
         # With no data every point has the prior's mean and variance, so
         # EI is flat and the tie-break contract pins the answer to the
         # first Sobol point.
-        theta = GpHyperparams(KernelSpec("rbf", np.array([0.5, 0.5]), 1.0), MeanSpec(0.0), 0.0)
+        theta = GpHyperparams(KernelSpec("matern52", np.array([0.5, 0.5]), 1.0), MeanSpec(0.0), 0.0)
         model = make_model(np.empty((0, 2)), [], theta)
         x, _ = maximize_acquisition(model, 0.3, 0)
         first = SobolEngine(2).next(1)[0]

@@ -327,6 +327,18 @@ class TestSubprocessEvaluate:
             subprocess_evaluate(cmd, 30, self.ARM)
         assert excinfo.value.kind == "malformed-output"
 
+    @pytest.mark.parametrize(
+        "response",
+        ["{'objective': 1.0, 'sem': -1}", "{'objective': 1.0, 'sem': float('nan')}",
+         "{'objective': 10 ** 400}"],
+        ids=["negative-sem", "nan-sem", "objective-beyond-float-range"],
+    )
+    def test_unusable_number_is_malformed_output(self, response):
+        cmd = child(f"import json; print(json.dumps({response}))")
+        with pytest.raises(EvaluatorFault) as excinfo:
+            subprocess_evaluate(cmd, 30, self.ARM)
+        assert excinfo.value.kind == "malformed-output"
+
 
 def tiny_experiment(n=3, with_sem=False, fail_last=False):
     from gpbo import ParameterSpec, SearchSpace

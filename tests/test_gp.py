@@ -20,9 +20,8 @@ from gpbo import (
     mll,
     mll_grad,
     posterior,
-    rsample,
 )
-from gpbo.gp import _mll_core, _pack, _sq_diffs, _unpack, posterior_grad
+from gpbo.gp import FIT_RESTARTS, _mll_core, _pack, _sq_diffs, _unpack, posterior_grad
 
 from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_value
 
@@ -41,8 +40,8 @@ def core_kernel(spec, X):
     """K as _mll_core builds it, recovered from its factor as L L' - jitter I."""
     X = np.asarray(X, dtype=float)
     parts = _mll_core(
-        _sq_diffs(X), np.zeros(len(X)), spec.family, spec.lengthscales,
-        spec.signal_variance, 0.0, 0.0, None, False,
+        _sq_diffs(X), np.zeros(len(X)), spec.lengthscales, spec.signal_variance,
+        0.0, 0.0, None, False,
     )
     return parts.chol @ parts.chol.T - parts.jitter * np.eye(len(X))
 
@@ -52,19 +51,15 @@ class TestKernelEval:
 
     def test_self_covariance_is_signal_variance(self):
         u = np.array([0.2, 0.9])
-        assert kernel_value("matern52", [0.3, 0.7], 1.7, u, u) == 1.7
+        assert kernel_value([0.3, 0.7], 1.7, u, u) == 1.7
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         ls = rng.uniform(0.1, 2, 3)
         u, v = rng.random(3), rng.random(3)
-        assert kernel_value("rbf", ls, 0.8, u, v) == kernel_value("rbf", ls, 0.8, v, u)
+        assert kernel_value(ls, 0.8, u, v) == kernel_value(ls, 0.8, v, u)
 
-    def test_rbf_unit_distance(self):
-        value = kernel_value("rbf", [1.0], 1.0, [0.0], [1.0])
-        assert value == pytest.approx(math.exp(-0.5), abs=1e-15)
-
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_loop_oracle(self, family):
         # A noise-free one-point model at u with y - m = 1 has posterior
         # mean m + k(v, u) / k(u, u) at v.
@@ -75,16 +70,17 @@ class TestKernelEval:
             u, v = rng.random(4), rng.random(4)
             model = make_model(u[None], [1.2], theta)
             k = 1.3 * (posterior(model, v[None]).means[0] - 0.2)
-            expected = kernel_value(family, spec.lengthscales, 1.3, u, v)
+            expected = kernel_value(spec.lengthscales, 1.3, u, v)
             assert k == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
     def test_invalid_hyperparameters_rejected(self):
         with pytest.raises(UsageError):
-            KernelSpec("rbf", np.array([0.0]), 1.0)
+            KernelSpec("matern52", np.array([0.0]), 1.0)
         with pytest.raises(UsageError):
-            KernelSpec("rbf", np.array([1.0]), -1.0)
-        with pytest.raises(UsageError):
-            KernelSpec("cubic", np.array([1.0]), 1.0)
+            KernelSpec("matern52", np.array([1.0]), -1.0)
+        for family in ("rbf", "cubic"):
+            with pytest.raises(UsageError, match="unknown kernel family"):
+                KernelSpec(family, np.array([1.0]), 1.0)
 
 
 class TestKernelMatrix:
@@ -101,12 +97,12 @@ class TestKernelMatrix:
         assert K[0, 1] == pytest.approx(1.9, rel=1e-12)
         np.testing.assert_allclose(np.diag(K), [1.9, 1.9, 1.9], rtol=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_elementwise_oracle(self, family):
         rng = np.random.default_rng(2)
         spec = KernelSpec(family, rng.uniform(0.2, 1.0, 3), 1.1)
         X = rng.random((5, 3))
-        expected = kernel_matrix_loops(family, spec.lengthscales, 1.1, X, X)
+        expected = kernel_matrix_loops(spec.lengthscales, 1.1, X, X)
         np.testing.assert_allclose(core_kernel(spec, X), expected, rtol=1e-12, atol=1e-15)
 
     def test_exactly_symmetric(self):
@@ -125,7 +121,7 @@ class TestFactorize:
 
     def test_duplicate_rows_need_jitter(self):
         X = np.array([[0.4], [0.4], [0.4]])
-        L, jitter = factorize(kernel_matrix_loops("matern52", [0.5], 1.0, X, X), 0.0)
+        L, jitter = factorize(kernel_matrix_loops([0.5], 1.0, X, X), 0.0)
         assert jitter > 0.0
         assert np.all(np.diag(L) > 0)
 
@@ -141,7 +137,7 @@ class TestFactorize:
 
     def test_jittered_reconstruction_for_singular_matrix(self):
         X = np.array([[0.1], [0.1], [0.9]])
-        K = kernel_matrix_loops("rbf", [0.7], 2.0, X, X)
+        K = kernel_matrix_loops([0.7], 2.0, X, X)
         L, jitter = factorize(K, 0.0)
         target = K + jitter * np.eye(3)
         err = np.linalg.norm(L @ L.T - target) / np.linalg.norm(target)
@@ -157,7 +153,7 @@ class TestFactorize:
 @pytest.mark.parametrize(
     "entry",
     [
-        lambda X, y: fit(X, y, restarts=2, seed=0),
+        lambda X, y: fit(X, y, seed=0),
         lambda X, y: mll(default_hyperparams(2), X, y),
         lambda X, y: mll_grad(default_hyperparams(2), X, y),
         lambda X, y: make_model(X, y, default_hyperparams(2)),
@@ -172,11 +168,11 @@ def test_targets_must_match_the_rows_of_x(entry):
 
 class TestMll:
     def test_single_unit_variance_point(self):
-        theta = GpHyperparams(KernelSpec("rbf", np.array([1.0]), 0.5), MeanSpec(1.0), 0.5)
+        theta = GpHyperparams(KernelSpec("matern52", np.array([1.0]), 0.5), MeanSpec(1.0), 0.5)
         # K + sigma2 = 0.5 + 0.5 = 1 and y = m, so only the constant remains.
         assert mll(theta, [[0.3]], [1.0]) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_dense_oracle(self, family):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -184,7 +180,7 @@ class TestMll:
             X = rng.random((3, 2))
             y = rng.standard_normal(3)
             expected = dense_mll(
-                family, theta.kernel.lengthscales, theta.kernel.signal_variance,
+                theta.kernel.lengthscales, theta.kernel.signal_variance,
                 theta.mean.constant, theta.noise_variance, X, y,
             )
             assert mll(theta, X, y) == pytest.approx(expected, rel=1e-10)
@@ -198,7 +194,7 @@ class TestMll:
         for scale in (1.0, 2.0):
             scaled = m + scale * (y - m)
             expected = dense_mll(
-                "matern52", theta.kernel.lengthscales, theta.kernel.signal_variance,
+                theta.kernel.lengthscales, theta.kernel.signal_variance,
                 m, theta.noise_variance, X, scaled,
             )
             assert mll(theta, X, scaled) == pytest.approx(expected, rel=1e-10)
@@ -210,7 +206,7 @@ class TestMll:
         y = rng.standard_normal(4)
         noise_diag = rng.uniform(0.01, 0.2, 4)
         expected = dense_mll(
-            "matern52", theta.kernel.lengthscales, theta.kernel.signal_variance,
+            theta.kernel.lengthscales, theta.kernel.signal_variance,
             theta.mean.constant, 0.0, X, y, noise_diag=noise_diag,
         )
         assert mll(theta, X, y, noise_diag=noise_diag) == pytest.approx(expected, rel=1e-10)
@@ -219,20 +215,19 @@ class TestMll:
 def finite_difference_grad(theta, X, y, with_noise=True, step=1e-5, noise_diag=None):
     d = X.shape[1]
     z0 = _pack(theta, with_noise)
-    family = theta.kernel.family
     grad = np.empty_like(z0)
     for i in range(len(z0)):
         zp, zm = z0.copy(), z0.copy()
         zp[i] += step
         zm[i] -= step
-        fp = mll(_unpack(zp, d, family, with_noise), X, y, noise_diag)
-        fm = mll(_unpack(zm, d, family, with_noise), X, y, noise_diag)
+        fp = mll(_unpack(zp, d, with_noise), X, y, noise_diag)
+        fm = mll(_unpack(zm, d, with_noise), X, y, noise_diag)
         grad[i] = (fp - fm) / (2 * step)
     return grad
 
 
 class TestMllGrad:
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_finite_differences(self, family):
         rng = np.random.default_rng(8)
         for _ in range(10):
@@ -260,7 +255,7 @@ class TestMllGrad:
         g = mll_grad(theta, X, y)
         assert g[0] == pytest.approx(g[1], rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_finite_differences_under_jitter(self, family):
         # N = 60 from 30 noise-free duplicated rows: K is singular, so the
         # ladder adds jitter, which scales with the signal variance.  The
@@ -290,7 +285,7 @@ class TestMllGrad:
 
 class TestFit:
     def test_single_point(self):
-        model = fit([[0.5]], [0.0], restarts=4, seed=0)
+        model = fit([[0.5]], [0.0], seed=0)
         summary = posterior(model, [[0.5]])
         assert summary.means[0] == pytest.approx(0.0, abs=0.05)
 
@@ -309,7 +304,7 @@ class TestFit:
                 noise_diag = np.zeros(3 * n)
             elif case == "fixed-noise":
                 noise_diag = rng.uniform(0.01, 0.2, n)
-            model = fit(X, y, restarts=5, seed=1, noise_diag=noise_diag)
+            model = fit(X, y, seed=1, noise_diag=noise_diag)
             baseline = mll(default_hyperparams(d), X, y, noise_diag=noise_diag)
             fitted = mll(model.theta, X, y, noise_diag=noise_diag)
             assert fitted >= baseline - 1e-9
@@ -351,8 +346,8 @@ class TestFit:
             noise_diag = rng.uniform(0.01, 0.2, n) if fixed_noise else None
             for log in (calls, values, nfevs):
                 log.clear()
-            model = fit(X, y, restarts=3, seed=2, noise_diag=noise_diag, start=random_theta(rng, d))
-            assert len(nfevs) == 4
+            model = fit(X, y, seed=2, noise_diag=noise_diag, start=random_theta(rng, d))
+            assert len(nfevs) == FIT_RESTARTS + 1
             assert len(calls) == sum(nfevs)
             best = max(v for v in values if np.isfinite(v))
             assert mll(model.theta, X, y, noise_diag=noise_diag) == best
@@ -365,10 +360,9 @@ class TestFit:
             X = rng.random((n, d))
             y = rng.standard_normal(n)
             noise_diag = rng.uniform(0.01, 0.2, n) if fixed_noise else None
-            best_cold = fit(X, y, restarts=10, seed=3, noise_diag=noise_diag).theta
+            best_cold = fit(X, y, seed=3, noise_diag=noise_diag).theta
             for theta in (random_theta(rng, d), best_cold):
-                # One cold start (the default) plus the warm one.
-                model = fit(X, y, restarts=1, seed=0, noise_diag=noise_diag, start=theta)
+                model = fit(X, y, seed=0, noise_diag=noise_diag, start=theta)
                 fitted = mll(model.theta, X, y, noise_diag=noise_diag)
                 assert fitted >= mll(theta, X, y, noise_diag=noise_diag) - 1e-9
                 assert fitted >= mll(default_hyperparams(d), X, y, noise_diag=noise_diag) - 1e-9
@@ -377,9 +371,9 @@ class TestFit:
         rng = np.random.default_rng(18)
         X = rng.random((8, 2))
         y = rng.standard_normal(8)
-        fixed = fit(X, y, restarts=2, seed=0, noise_diag=np.full(8, 0.01)).theta
+        fixed = fit(X, y, seed=0, noise_diag=np.full(8, 0.01)).theta
         assert fixed.noise_variance == 0.0
-        model = fit(X, y, restarts=2, seed=0, start=fixed)
+        model = fit(X, y, seed=0, start=fixed)
         assert model.theta.noise_variance > 0.0
         assert mll(model.theta, X, y) >= mll(default_hyperparams(2), X, y) - 1e-9
 
@@ -398,20 +392,20 @@ class TestFit:
             K = (1 + math.sqrt(5) * D + 5 * D**2 / 3) * np.exp(-math.sqrt(5) * D)
             y = np.linalg.cholesky(K + 1e-4 * np.eye(30)) @ rng.standard_normal(30)
             y = (y - y.mean()) / y.std()
-            model = fit(X, y, restarts=10, seed=seed)
+            model = fit(X, y, seed=seed)
             hits += 0.1 <= model.theta.kernel.lengthscales[0] <= 0.4
         assert hits >= 18
 
     def test_empty_data_rejected(self):
         with pytest.raises(UsageError):
-            fit(np.empty((0, 1)), [], restarts=2, seed=0)
+            fit(np.empty((0, 1)), [], seed=0)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
         X = rng.random((8, 2))
         y = rng.standard_normal(8)
-        a = fit(X, y, restarts=5, seed=3)
-        b = fit(X, y, restarts=5, seed=3)
+        a = fit(X, y, seed=3)
+        b = fit(X, y, seed=3)
         np.testing.assert_array_equal(a.theta.kernel.lengthscales, b.theta.kernel.lengthscales)
         assert a.theta.noise_variance == b.theta.noise_variance
 
@@ -419,9 +413,9 @@ class TestFit:
         rng = np.random.default_rng(11)
         X = rng.random((10, 2))
         y = rng.standard_normal(10)
-        model = fit(X, y, restarts=4, seed=0)
+        model = fit(X, y, seed=0)
         spec = model.theta.kernel
-        K = kernel_matrix_loops(spec.family, spec.lengthscales, spec.signal_variance, X, X)
+        K = kernel_matrix_loops(spec.lengthscales, spec.signal_variance, X, X)
         Ky = K + (model.theta.noise_variance + model.jitter_used) * np.eye(10)
         residual = np.abs(Ky @ model.alpha - (y - model.theta.mean.constant)).max()
         assert residual < 1e-8 * (1 + np.abs(y).max())
@@ -445,7 +439,7 @@ class TestPosterior:
         np.testing.assert_allclose(summary.means, y, atol=1e-6)
         assert summary.variances.max() < 1e-6
 
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
+    @pytest.mark.parametrize("family", ["matern52"])
     def test_matches_dense_solve_oracle(self, family):
         rng = np.random.default_rng(13)
         for _ in range(20):
@@ -457,7 +451,7 @@ class TestPosterior:
             model = make_model(X, y, theta)
             summary = posterior(model, Xq)
             means, variances = dense_posterior(
-                family, theta.kernel.lengthscales, theta.kernel.signal_variance,
+                theta.kernel.lengthscales, theta.kernel.signal_variance,
                 theta.mean.constant, theta.noise_variance, X, y, Xq,
             )
             np.testing.assert_allclose(summary.means, means, rtol=1e-8, atol=1e-10)
@@ -474,8 +468,7 @@ class TestPosterior:
         model = make_model(X, y, theta, noise_diag=noise_diag)
         summary = posterior(model, X)
         means, variances = dense_posterior(
-            "matern52", theta.kernel.lengthscales, 1.0, 0.1, 0.0, X, y, X,
-            noise_diag=noise_diag,
+            theta.kernel.lengthscales, 1.0, 0.1, 0.0, X, y, X, noise_diag=noise_diag,
         )
         np.testing.assert_allclose(summary.means, means, rtol=1e-9)
         np.testing.assert_allclose(summary.variances, variances, rtol=1e-8, atol=1e-12)
@@ -516,7 +509,7 @@ class TestPosterior:
         rng = np.random.default_rng(n * 10 + d)
         X = rng.random((n, d))
         y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
-        model = fit(X, (y - y.mean()) / y.std(), restarts=2, seed=n)
+        model = fit(X, (y - y.mean()) / y.std(), seed=n)
         Q = rng.random((256, d))
         batch = posterior(model, Q)
         for size in (1, 2, 3, 24, 40):
@@ -533,21 +526,19 @@ class TestPosterior:
             posterior(model, [[0.5]])
 
 
-def fitted_model(family, fixed_noise, n=12, d=3, seed=0):
+def fitted_model(fixed_noise, n=12, d=3, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.random((n, d))
     y = np.sin(3.0 * X).sum(axis=1) + 0.1 * rng.standard_normal(n)
     noise_diag = rng.uniform(0.01, 0.1, n) if fixed_noise else None
-    return fit(X, (y - y.mean()) / y.std(), restarts=2, seed=seed, family=family,
-               noise_diag=noise_diag)
+    return fit(X, (y - y.mean()) / y.std(), seed=seed, noise_diag=noise_diag)
 
 
 class TestPosteriorGrad:
     @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
-    def test_matches_finite_differences(self, family, fixed_noise):
+    def test_matches_finite_differences(self, fixed_noise):
         for n, d in ((12, 3), (60, 6)):
-            model = fitted_model(family, fixed_noise, n=n, d=d)
+            model = fitted_model(fixed_noise, n=n, d=d)
             Xq = np.random.default_rng(1).uniform(0.05, 0.95, (8, model.d))
             _, dmean, dvar = posterior_grad(model, Xq)
             step = 1e-6
@@ -566,13 +557,12 @@ class TestPosteriorGrad:
     def test_matern_gradient_smooth_at_training_point(self):
         # (1 + sqrt5 r) exp(-sqrt5 r) has no 1/r term, so a query on a
         # training input gets a finite gradient.
-        model = fitted_model("matern52", False)
+        model = fitted_model(False)
         _, dmean, dvar = posterior_grad(model, model.X[:3])
         assert np.all(np.isfinite(dmean)) and np.all(np.isfinite(dvar))
 
-    @pytest.mark.parametrize("family", ["matern52", "rbf"])
-    def test_summary_is_posterior_bitwise(self, family):
-        model = fitted_model(family, False)
+    def test_summary_is_posterior_bitwise(self):
+        model = fitted_model(False)
         Xq = np.random.default_rng(2).random((40, model.d))
         summary, _, _ = posterior_grad(model, Xq)
         reference = posterior(model, Xq)
@@ -582,7 +572,7 @@ class TestPosteriorGrad:
     @pytest.mark.parametrize("n,d", [(5, 2), (24, 3), (60, 5), (60, 6)])
     def test_batch_invariant(self, n, d):
         # The refine scores 1 to 8 points per call and the scatter 256.
-        model = fitted_model("matern52", False, n=n, d=d, seed=n)
+        model = fitted_model(False, n=n, d=d, seed=n)
         Q = np.random.default_rng(3).random((256, d))
         summary, dmean, dvar = posterior_grad(model, Q)
         for size in (1, 3, 24):
@@ -601,30 +591,3 @@ class TestPosteriorGrad:
         np.testing.assert_array_equal(dmean, np.zeros((2, 2)))
         np.testing.assert_array_equal(dvar, np.zeros((2, 2)))
 
-
-class TestRsample:
-    def test_zero_variance_draws_equal_mean(self):
-        from gpbo import PosteriorSummary
-
-        summary = PosteriorSummary(np.array([1.5, -2.0]), np.array([0.0, 0.0]))
-        samples = rsample(summary, 100, seed=0)
-        assert np.all(samples == np.array([1.5, -2.0]))
-
-    def test_standard_normal_mean_within_mc_bound(self):
-        from gpbo import PosteriorSummary
-
-        summary = PosteriorSummary(np.array([0.0]), np.array([1.0]))
-        samples = rsample(summary, 1_000_000, seed=42)
-        assert abs(samples.mean()) < 3e-3
-
-    def test_same_seed_bitwise_identical(self):
-        from gpbo import PosteriorSummary
-
-        summary = PosteriorSummary(np.array([0.3, 0.9]), np.array([0.5, 2.0]))
-        np.testing.assert_array_equal(rsample(summary, 64, 7), rsample(summary, 64, 7))
-
-    def test_needs_at_least_one_draw(self):
-        from gpbo import PosteriorSummary
-
-        with pytest.raises(UsageError):
-            rsample(PosteriorSummary(np.array([0.0]), np.array([1.0])), 0, 0)

@@ -61,9 +61,6 @@ EXPORTS = [
     "new_experiment",
     "optimize",
     "posterior",
-    "rsample",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "suggest",
     "validate_space",
 ]
