@@ -188,20 +188,18 @@ def _jitters(K: np.ndarray):
         yield step * scale
 
 
-def factorize(K: np.ndarray, noise_variance: float, noise_diag: np.ndarray | None = None):
-    """Cholesky of K + (noise + jitter) I with an escalating jitter ladder.
+def factorize(K: np.ndarray, noise):
+    """Cholesky of K + diag(noise) + jitter I with an escalating jitter ladder.
 
-    Every factorization in the package goes through here.  Jitter starts
-    at zero and escalates through JITTER_LADDER scaled by the mean diagonal
-    of K (a proxy for the signal variance).  Returns (lower factor, jitter
-    actually used).
+    ``noise`` is one variance for every observation or an (N,) array of
+    per-observation variances.  Every factorization in the package goes
+    through here.  Jitter starts at zero and escalates through
+    JITTER_LADDER scaled by the mean diagonal of K (a proxy for the signal
+    variance).  Returns (lower factor, jitter actually used).
     """
     K = np.asarray(K, dtype=float)
     n = K.shape[0]
-    loaded = K.diagonal() + (
-        noise_variance if noise_diag is None
-        else noise_variance + np.asarray(noise_diag, dtype=float)
-    )
+    loaded = K.diagonal() + noise
     previous = 0.0
     for jitter in _jitters(K):
         if jitter != previous:
@@ -240,20 +238,21 @@ def _sq_diffs(X: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(((X[:, None, :] - X[None, :, :]) ** 2).transpose(2, 0, 1))
 
 
-def _mll_core(diff2, y, lengthscales, s2, sigma2, m, noise_diag, with_grad) -> _MllParts:
+def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
     """The marginal-likelihood routine behind fit, mll, mll_grad and make_model.
 
     Takes natural hyperparameters on precomputed squared differences
     (:func:`_sq_diffs`) and returns the mll, its gradient in the layout of
-    :func:`mll_grad` (None unless ``with_grad``), the Cholesky factor, alpha
-    and the jitter used.  A multi-start fit makes thousands of calls, so it
-    stays on raw LAPACK.  Raises NumericalError when the jitter ladder is
-    exhausted.
+    :func:`_pack` (None unless ``with_grad``), the Cholesky factor, alpha
+    and the jitter used.  ``noise`` is the fitted noise variance, a float
+    with a slot in the gradient, or a fixed (N,) diagonal without one.  A
+    multi-start fit makes thousands of calls, so it stays on raw LAPACK.
+    Raises NumericalError when the jitter ladder is exhausted.
     """
     d, n, _ = diff2.shape
     ls2 = 1.0 / (lengthscales * lengthscales)
     K, radial = _kernel_from_r2(s2, (ls2 @ diff2.reshape(d, -1)).reshape(n, n))
-    L, jitter = factorize(K, sigma2, noise_diag)
+    L, jitter = factorize(K, noise)
     r = y - m
     alpha = dpotrs(L, r, lower=1)[0]
     value = (
@@ -275,11 +274,12 @@ def _mll_core(diff2, y, lengthscales, s2, sigma2, m, noise_diag, with_grad) -> _
     # The ladder's jitter is proportional to the mean diagonal of K, which
     # is s2, so it moves with log s2 as well: dK~/dlog s2 = K + jitter I.
     trace = float(P.trace())
-    grad = np.empty(d + (3 if noise_diag is None else 2))
+    fitted_noise = np.ndim(noise) == 0
+    grad = np.empty(d + (3 if fitted_noise else 2))
     grad[:d] = 0.5 * ls2 * (diff2.reshape(d, -1) @ (P * radial).ravel())
     grad[d] = 0.5 * (float(np.vdot(P, K)) + jitter * trace)
-    if noise_diag is None:
-        grad[d + 1] = 0.5 * sigma2 * trace
+    if fitted_noise:
+        grad[d + 1] = 0.5 * noise * trace
     grad[-1] = float(np.sum(alpha))
     return _MllParts(value, grad, L, alpha, jitter)
 
@@ -300,8 +300,7 @@ def _dataset(X, y, noise_diag):
 
 
 def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllParts:
-    """Validate a dataset and run the core routine at theta."""
-    X, y, nd = _dataset(X, y, noise_diag)
+    """Run the core routine at theta on a dataset from :func:`_dataset`."""
     n = X.shape[0]
     if n < 1:
         raise UsageError("marginal likelihood requires at least one observation")
@@ -311,10 +310,10 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
             f"inputs have {X.shape[1]} columns, kernel has "
             f"{spec.lengthscales.shape[0]} lengthscales"
         )
-    sigma2 = 0.0 if nd is not None else theta.noise_variance
     return _mll_core(
         _sq_diffs(X), y, spec.lengthscales, spec.signal_variance,
-        sigma2, theta.mean.constant, nd, with_grad,
+        theta.noise_variance if noise_diag is None else noise_diag,
+        theta.mean.constant, with_grad,
     )
 
 
@@ -331,18 +330,18 @@ def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
 
 def mll(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> float:
     """Log marginal likelihood of the targets under theta."""
-    return _evaluate(theta, X, y, noise_diag, False).value
+    return _evaluate(theta, *_dataset(X, y, noise_diag), False).value
 
 
 def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> np.ndarray:
     """Analytic gradient of :func:`mll` over the fitting parameterization.
 
-    Layout: d(log lengthscale_j) for j = 1..d, then d(log signal variance),
-    then d(log noise variance) unless a fixed ``noise_diag`` is in force,
-    then d(mean constant).  Uses the standard trace identity
+    One entry per coordinate of ``_pack(theta, noise_diag is None)``, in
+    that order: the noise has one only when it is fitted rather than given
+    as ``noise_diag``.  Uses the standard trace identity
     dL/dtheta = 1/2 tr((alpha alpha' - K~^{-1}) dK~/dtheta).
     """
-    return _evaluate(theta, X, y, noise_diag, True).grad
+    return _evaluate(theta, *_dataset(X, y, noise_diag), True).grad
 
 
 def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
@@ -357,6 +356,9 @@ def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
 
 
 def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
+    """theta as the fit's point z, the one statement of its layout: log
+    lengthscale_j (j = 1..d), log signal variance, log noise variance only
+    ``with_noise`` (fitted, not given), then the mean constant raw."""
     z = list(np.log(theta.kernel.lengthscales))
     z.append(math.log(theta.kernel.signal_variance))
     if with_noise:
@@ -365,30 +367,21 @@ def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
     return np.asarray(z)
 
 
-def _natural(z: np.ndarray, d: int, with_noise: bool):
-    """(lengthscales, signal variance, noise variance, mean) at z, the
-    layout of :func:`_pack`; noise variance 0 unless ``with_noise``.
+def _natural(z: np.ndarray, d: int, noise_diag):
+    """The inverse of :func:`_pack`: (lengthscales, signal variance, noise,
+    mean) at z, where the noise is the variance z holds or, when given,
+    ``noise_diag`` in its place.
 
     The fit's objective and :func:`_unpack` both convert here, so
     ``make_model`` at the fitted theta reproduces the fitted model bitwise.
     """
-    noise = math.exp(z[d + 1]) if with_noise else 0.0
+    noise = math.exp(z[d + 1]) if noise_diag is None else noise_diag
     return np.exp(z[:d]), math.exp(z[d]), noise, float(z[-1])
 
 
 def _unpack(z: np.ndarray, d: int, with_noise: bool) -> GpHyperparams:
-    ls, s2, noise, m = _natural(z, d, with_noise)
+    ls, s2, noise, m = _natural(z, d, None if with_noise else 0.0)
     return GpHyperparams(KernelSpec(MATERN52, ls, s2), MeanSpec(m), noise)
-
-
-def _fit_bounds(d: int, with_noise: bool) -> list[tuple[float, float]]:
-    lo_l, hi_l = (math.log(b) for b in LENGTHSCALE_BOUNDS)
-    bounds = [(lo_l, hi_l)] * d
-    bounds.append(tuple(math.log(b) for b in SIGNAL_VARIANCE_BOUNDS))
-    if with_noise:
-        bounds.append(tuple(math.log(b) for b in NOISE_VARIANCE_BOUNDS))
-    bounds.append(MEAN_BOUNDS)
-    return bounds
 
 
 def _start_points(lo, hi, seed: int, given: list) -> list[np.ndarray]:
@@ -437,9 +430,13 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     if n < 1:
         raise UsageError("fit requires at least one observation")
     with_noise = nd is None
-    bounds = _fit_bounds(d, with_noise)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    # The box L-BFGS-B searches: its two corners, packed like any theta.
+    lo, hi = (
+        _pack(GpHyperparams(KernelSpec(MATERN52, np.full(d, ls), s2), MeanSpec(m), v), with_noise)
+        for ls, s2, v, m in zip(
+            LENGTHSCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS, MEAN_BOUNDS
+        )
+    )
     default = default_hyperparams(d)
     given = [np.clip(_pack(default, with_noise), lo, hi)]
     if start is not None:
@@ -452,13 +449,13 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             start = GpHyperparams(start.kernel, start.mean, default.noise_variance)
         given.append(np.clip(_pack(start, with_noise), lo, hi))
     diff2 = _sq_diffs(X)
-    failed = (1e25, np.zeros(len(bounds)))
+    failed = (1e25, np.zeros(len(lo)))
     best_z, best = None, None
 
     def objective(z):
         nonlocal best_z, best
         try:
-            parts = _mll_core(diff2, y, *_natural(z, d, with_noise), nd, True)
+            parts = _mll_core(diff2, y, *_natural(z, d, nd), True)
         except NumericalError:
             return failed
         if not math.isfinite(parts.value):
@@ -477,7 +474,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
                 z0,
                 jac=True,
                 method="L-BFGS-B",
-                bounds=bounds,
+                bounds=list(zip(lo, hi)),
                 options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},
             )
         except (np.linalg.LinAlgError, ValueError) as exc:

@@ -28,9 +28,9 @@ from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_valu
 LOG_2PI = math.log(2.0 * math.pi)
 
 
-def random_theta(rng, d, family="matern52", noise=None):
+def random_theta(rng, d, noise=None):
     return GpHyperparams(
-        kernel=KernelSpec(family, rng.uniform(0.2, 1.5, d), float(rng.uniform(0.5, 2.0))),
+        kernel=KernelSpec("matern52", rng.uniform(0.2, 1.5, d), float(rng.uniform(0.5, 2.0))),
         mean=MeanSpec(float(rng.uniform(-0.5, 0.5))),
         noise_variance=float(rng.uniform(1e-4, 0.1)) if noise is None else noise,
     )
@@ -41,7 +41,7 @@ def core_kernel(spec, X):
     X = np.asarray(X, dtype=float)
     parts = _mll_core(
         _sq_diffs(X), np.zeros(len(X)), spec.lengthscales, spec.signal_variance,
-        0.0, 0.0, None, False,
+        0.0, 0.0, False,
     )
     return parts.chol @ parts.chol.T - parts.jitter * np.eye(len(X))
 
@@ -59,12 +59,11 @@ class TestKernelEval:
         u, v = rng.random(3), rng.random(3)
         assert kernel_value(ls, 0.8, u, v) == kernel_value(ls, 0.8, v, u)
 
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_loop_oracle(self, family):
+    def test_matches_loop_oracle(self):
         # A noise-free one-point model at u with y - m = 1 has posterior
         # mean m + k(v, u) / k(u, u) at v.
         rng = np.random.default_rng(1)
-        spec = KernelSpec(family, rng.uniform(0.1, 2, 4), 1.3)
+        spec = KernelSpec("matern52", rng.uniform(0.1, 2, 4), 1.3)
         theta = GpHyperparams(spec, MeanSpec(0.2), 0.0)
         for _ in range(20):
             u, v = rng.random(4), rng.random(4)
@@ -97,10 +96,9 @@ class TestKernelMatrix:
         assert K[0, 1] == pytest.approx(1.9, rel=1e-12)
         np.testing.assert_allclose(np.diag(K), [1.9, 1.9, 1.9], rtol=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_elementwise_oracle(self, family):
+    def test_matches_elementwise_oracle(self):
         rng = np.random.default_rng(2)
-        spec = KernelSpec(family, rng.uniform(0.2, 1.0, 3), 1.1)
+        spec = KernelSpec("matern52", rng.uniform(0.2, 1.0, 3), 1.1)
         X = rng.random((5, 3))
         expected = kernel_matrix_loops(spec.lengthscales, 1.1, X, X)
         np.testing.assert_allclose(core_kernel(spec, X), expected, rtol=1e-12, atol=1e-15)
@@ -172,11 +170,10 @@ class TestMll:
         # K + sigma2 = 0.5 + 0.5 = 1 and y = m, so only the constant remains.
         assert mll(theta, [[0.3]], [1.0]) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_dense_oracle(self, family):
+    def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            theta = random_theta(rng, 2, family)
+            theta = random_theta(rng, 2)
             X = rng.random((3, 2))
             y = rng.standard_normal(3)
             expected = dense_mll(
@@ -227,12 +224,11 @@ def finite_difference_grad(theta, X, y, with_noise=True, step=1e-5, noise_diag=N
 
 
 class TestMllGrad:
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_finite_differences(self, family):
+    def test_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             n, d = int(rng.integers(2, 11)), int(rng.integers(1, 4))
-            theta = random_theta(rng, d, family)
+            theta = random_theta(rng, d)
             X = rng.random((n, d))
             y = rng.standard_normal(n)
             analytic = mll_grad(theta, X, y)
@@ -255,8 +251,7 @@ class TestMllGrad:
         g = mll_grad(theta, X, y)
         assert g[0] == pytest.approx(g[1], rel=1e-12, abs=1e-12)
 
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_finite_differences_under_jitter(self, family):
+    def test_matches_finite_differences_under_jitter(self):
         # N = 60 from 30 noise-free duplicated rows: K is singular, so the
         # ladder adds jitter, which scales with the signal variance.  The
         # gradient must match finite differences of mll with the ladder
@@ -267,7 +262,7 @@ class TestMllGrad:
             X, y = rng.random((30, 2)), rng.standard_normal(30)
             X, y = np.tile(X, (2, 1)), np.tile(y, 2)
             theta = GpHyperparams(
-                KernelSpec(family, rng.uniform(0.1, 0.3, 2), float(rng.uniform(0.5, 2.0))),
+                KernelSpec("matern52", rng.uniform(0.1, 0.3, 2), float(rng.uniform(0.5, 2.0))),
                 MeanSpec(float(rng.uniform(-0.5, 0.5))), 0.0,
             )
             zeros = np.zeros(60)
@@ -351,6 +346,39 @@ class TestFit:
             assert len(calls) == sum(nfevs)
             best = max(v for v in values if np.isfinite(v))
             assert mll(model.theta, X, y, noise_diag=noise_diag) == best
+
+    @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
+    def test_search_box_and_clipped_warm_start(self, monkeypatch, fixed_noise):
+        # Every L-BFGS-B run searches the log of each bound constant (the
+        # mean raw), with no noise coordinate when the noise is given, and a
+        # warm start outside that box starts on its edge.
+        real_minimize = gpbo.gp.minimize
+        runs = []
+
+        def recording_minimize(fun, x0, **kwargs):
+            runs.append((np.array(x0), kwargs["bounds"]))
+            return real_minimize(fun, x0, **kwargs)
+
+        monkeypatch.setattr(gpbo.gp, "minimize", recording_minimize)
+        rng = np.random.default_rng(20)
+        d = 2
+        X, y = rng.random((6, d)), rng.standard_normal(6)
+        outside = GpHyperparams(
+            KernelSpec("matern52", np.array([1e-6, 1e6]), 1e8), MeanSpec(5.0), 10.0
+        )
+        fit(X, y, seed=0, noise_diag=np.full(6, 0.01) if fixed_noise else None, start=outside)
+        logged = [gpbo.gp.LENGTHSCALE_BOUNDS] * d + [gpbo.gp.SIGNAL_VARIANCE_BOUNDS]
+        if not fixed_noise:
+            logged.append(gpbo.gp.NOISE_VARIANCE_BOUNDS)
+        box = [(math.log(lo), math.log(hi)) for lo, hi in logged] + [gpbo.gp.MEAN_BOUNDS]
+        assert len(runs) == FIT_RESTARTS + 1
+        for _, bounds in runs:
+            assert len(bounds) == (d + 2 if fixed_noise else d + 3)
+            assert [tuple(b) for b in bounds] == box
+        lo, hi = np.array(box).T
+        # Start 0 is the default, start 1 the warm start: its first
+        # lengthscale is below the box, everything else above it.
+        np.testing.assert_array_equal(runs[1][0], np.append(lo[0], hi[1:]))
 
     @pytest.mark.parametrize("fixed_noise", [False, True])
     def test_warm_start_never_worse_than_start_or_default(self, fixed_noise):
@@ -439,12 +467,11 @@ class TestPosterior:
         np.testing.assert_allclose(summary.means, y, atol=1e-6)
         assert summary.variances.max() < 1e-6
 
-    @pytest.mark.parametrize("family", ["matern52"])
-    def test_matches_dense_solve_oracle(self, family):
+    def test_matches_dense_solve_oracle(self):
         rng = np.random.default_rng(13)
         for _ in range(20):
             n, d = int(rng.integers(1, 9)), int(rng.integers(1, 4))
-            theta = random_theta(rng, d, family)
+            theta = random_theta(rng, d)
             X = rng.random((n, d))
             y = rng.standard_normal(n)
             Xq = rng.random((5, d))
