@@ -248,7 +248,7 @@ def complete_trial(experiment: Experiment, index: int, observation: Observation)
     if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot complete")
     if isinstance(observation, (int, float)) and not isinstance(observation, bool):
-        observation = Observation(float(observation))
+        observation = Observation(observation)
     if not observation.is_finite:
         trial.status = TrialStatus.FAILED
         trial.metadata["fault"] = "non-finite-objective"

@@ -117,21 +117,21 @@ class Arm:
 class Observation:
     """One raw objective value, optionally with its standard error.
 
-    A non-finite objective is constructible on purpose: evaluators may
-    report NaN, and the loop turns such observations into FAILED trials.
-    Only completed trials require a finite objective.
+    A non-finite objective (NaN, or an int beyond the largest float) is
+    constructible on purpose: the loop turns such observations into FAILED
+    trials.  Only completed trials require a finite objective.
     """
 
     objective: float
     sem: float | None = None
 
     def __post_init__(self):
-        if self.sem is not None and (not math.isfinite(self.sem) or self.sem < 0):
+        if self.sem is not None and not 0 <= self.sem <= sys.float_info.max:
             raise DomainError(f"sem must be finite and >= 0, got {self.sem}")
 
     @property
     def is_finite(self) -> bool:
-        return math.isfinite(self.objective)
+        return abs(self.objective) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

@@ -266,6 +266,21 @@ class TestOptimize:
         )
         assert len(exp.trials) == 8  # failures consume budget
 
+    @pytest.mark.parametrize("wrap", [Observation, lambda v: v], ids=["observation", "bare"])
+    def test_objective_beyond_float_range_fails_the_trial(self, wrap):
+        # 10**400 is an int beyond float range: the run must record it as a
+        # non-finite objective and go on.
+        calls = []
+
+        def evaluate(arm):
+            calls.append(arm)
+            return wrap(10**400) if len(calls) == 2 else quadratic(arm)
+
+        _, exp = optimize(unit_space(), evaluate, total_trials=6, seed=0)
+        statuses = [t.status for t in exp.trials]
+        assert statuses == [TrialStatus.COMPLETED, TrialStatus.FAILED] + [TrialStatus.COMPLETED] * 4
+        assert exp.trials[1].metadata["fault"] == "non-finite-objective"
+
     def test_all_failures_raise_no_completed_trials(self):
         def always_bad(arm):
             raise RuntimeError("nope")

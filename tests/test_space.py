@@ -288,6 +288,10 @@ class TestObservation:
         with pytest.raises(DomainError):
             Observation(1.0, sem=-0.1)
 
+    def test_sem_beyond_float_range_rejected(self):
+        with pytest.raises(DomainError):
+            Observation(1.0, sem=10**400)
+
     def test_nan_objective_constructible(self):
         # The loop needs to see these to turn them into FAILED trials.
         assert not Observation(math.nan).is_finite
