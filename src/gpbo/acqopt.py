@@ -5,12 +5,13 @@ of BoTorch's ``optimize_acqf``: score a Sobol scatter of 1024 candidates
 by expected improvement, then refine the best 8 (those with EI > 0)
 jointly by one bounded L-BFGS-B run on the sum of their log-EI, using the
 analytic gradient of the posterior (:func:`gpbo.gp.posterior_grad`).  The
-starts do not interact, so the joint run is 8 independent ascents that
-share each posterior call.  log-EI (Ament et al. 2023) stays finite and
-informative where EI is flat or underflows to 0.  The run stops after 200
-iterations or once a step raises the summed log-EI by less than 1e-7 of
-its magnitude (``ftol``; scipy's default, about 2.2e-9, spends 40% more
-posterior calls on the final approach).
+starts share each posterior call, one line search and one L-BFGS memory,
+so one start's steep gradient can shorten every start's step.  log-EI
+(Ament et al. 2023) stays finite and informative where EI is flat or
+underflows to 0.  The run stops after 200 iterations or once a step
+raises the summed log-EI by less than 1e-7 of its magnitude (``ftol``;
+scipy's default, about 2.2e-9, spends 40% more posterior calls on the
+final approach).
 
 A refined point replaces the best so far only if its EI, scored through
 the same :func:`posterior` path as the scatter, is strictly larger, so
