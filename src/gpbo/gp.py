@@ -15,16 +15,18 @@ inverse of the factor found at its hyperparameters, computed once, and
 :func:`posterior` answers every query from that inverse and alpha.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
-mean) are chosen by maximizing, from the default theta, an optional warm
-start and ``FIT_RESTARTS - 1`` Sobol points, the log marginal likelihood
+mean) are chosen by maximizing, from the default theta and an optional warm
+start, the log marginal likelihood
 
     log p(y | X, theta) = -1/2 (y-m)' (K+sigma2 I)^{-1} (y-m)
                           - sum_i log L_ii - N/2 log(2 pi)
 
 using the analytic gradient over log-parameters and a bounded
-quasi-Newton local method (L-BFGS-B).  The fit keeps the best
-hyperparameters, factor and alpha that any start's evaluations reached,
-so nothing is re-scored after the runs.
+quasi-Newton local method (L-BFGS-B).  ``FIT_RESTARTS - 1`` Sobol starts
+join those two only when the warm start is in doubt: when there is none,
+or when it has a lengthscale or the signal variance on a bound.  The fit
+keeps the best hyperparameters, factor and alpha that any start's
+evaluations reached, so nothing is re-scored after the runs.
 """
 
 from __future__ import annotations
@@ -50,7 +52,8 @@ SIGNAL_VARIANCE_BOUNDS = (1e-4, 1e4)
 NOISE_VARIANCE_BOUNDS = (1e-8, 1.0)
 MEAN_BOUNDS = (-2.0, 2.0)
 
-# Cold starts per fit, the default hyperparameters first.
+# Starts of a fit whose warm start is in doubt: the default hyperparameters
+# first, then FIT_RESTARTS - 1 Sobol points (see fit).
 FIT_RESTARTS = 3
 
 # Relative jitter ladder; scaled by the mean diagonal of K when factorizing.
@@ -384,13 +387,24 @@ def _unpack(z: np.ndarray, d: int, with_noise: bool) -> GpHyperparams:
     return GpHyperparams(KernelSpec(MATERN52, ls, s2), MeanSpec(m), noise)
 
 
-def _start_points(lo, hi, seed: int, given: list) -> list[np.ndarray]:
-    """The given starts, then FIT_RESTARTS - 1 Sobol points over the box [lo, hi]."""
+def _on_edge(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> bool:
+    """Whether a log-lengthscale or the log signal variance of z lies on an
+    edge of [lo, hi], within 1e-9 relative.  The mean on its bound and the
+    noise on its floor do not count."""
+    edges = np.concatenate([lo[: d + 1], hi[: d + 1]])
+    gaps = np.abs(np.tile(z[: d + 1], 2) - edges)
+    return bool(np.any(gaps <= 1e-9 * np.maximum(1.0, np.abs(edges))))
+
+
+def _start_points(lo, hi, seed: int, given: list, cold: int) -> list[np.ndarray]:
+    """The given starts, then ``cold`` Sobol points over the box [lo, hi]."""
+    if cold == 0:
+        return list(given)
     k = len(lo)
     if k <= MAX_DIMENSION:
-        u = SobolEngine(k).fast_forward(seed % 4096).next(FIT_RESTARTS - 1)
+        u = SobolEngine(k).fast_forward(seed % 4096).next(cold)
     else:
-        u = np.random.default_rng(seed).random((FIT_RESTARTS - 1, k))
+        u = np.random.default_rng(seed).random((cold, k))
     return list(given) + [lo + row * (hi - lo) for row in u]
 
 
@@ -408,10 +422,14 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     are always start 0, so the fitted mll is never worse than theirs.  A
     warm ``start`` (typically the previous fit's theta on a history one
     observation shorter), clipped into the bounds, is start 1, so the
-    fitted mll is never worse than its mll either; then come
-    ``FIT_RESTARTS - 1`` Sobol starts.  The returned model keeps the
-    factorization computed at the winning hyperparameters, which
-    ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
+    fitted mll is never worse than its mll either.  ``FIT_RESTARTS - 1``
+    Sobol starts follow only when the warm start is in doubt: when no
+    ``start`` is given, or when the clipped start has a lengthscale or the
+    signal variance on a bound (within 1e-9 relative in log space).  A
+    mean on its bound or a noise variance on its floor is no doubt.  The
+    returned model keeps the factorization computed at the winning
+    hyperparameters, which ``make_model(X, y, model.theta, noise_diag)``
+    reproduces bitwise.
 
     When ``noise_diag`` is given (per-observation noise variances), the
     noise is fixed rather than fitted.  A ``start`` from such a fit has
@@ -422,8 +440,9 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     ----------
     X : (N, d) array of unit-cube inputs, N >= 1
     y : (N,) array of standardized targets
-    seed : offsets the Sobol stream the non-default starts are drawn from
-    start : optional hyperparameters refined as one extra start
+    seed : offsets the Sobol stream the cold starts are drawn from
+    start : optional hyperparameters refined as one extra start; unless
+        it is in doubt, the Sobol starts are skipped
     """
     X, y, nd = _dataset(X, y, noise_diag)
     n, d = X.shape
@@ -439,6 +458,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     )
     default = default_hyperparams(d)
     given = [np.clip(_pack(default, with_noise), lo, hi)]
+    cold = FIT_RESTARTS - 1
     if start is not None:
         if start.kernel.lengthscales.shape != (d,):
             raise SpaceError(
@@ -448,6 +468,8 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
         if with_noise and start.noise_variance == 0.0:
             start = GpHyperparams(start.kernel, start.mean, default.noise_variance)
         given.append(np.clip(_pack(start, with_noise), lo, hi))
+        if not _on_edge(given[-1], lo, hi, d):
+            cold = 0
     diff2 = _sq_diffs(X)
     failed = (1e25, np.zeros(len(lo)))
     best_z, best = None, None
@@ -467,7 +489,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
         return -parts.value, -parts.grad
 
     failures = []
-    for idx, z0 in enumerate(_start_points(lo, hi, seed, given)):
+    for idx, z0 in enumerate(_start_points(lo, hi, seed, given, cold)):
         try:
             minimize(
                 objective,

@@ -5,8 +5,9 @@ evaluating a single arm.  A trial opens RUNNING when :func:`suggest`
 creates it and closes through :func:`complete_trial` or :func:`fail_trial`.
 Generation is Sobol for the first ``INIT_ARMS`` completed trials and GP-EI
 afterwards: fit the surrogate on the completed history (encoded inputs,
-standardized outputs, always minimizing internally) from the fit's cold
-starts plus a warm start from the hyperparameters of the most recent fit,
+standardized outputs, always minimizing internally) warm-started from the
+previous trial's hyperparameters (cold, from Sobol starts as well, after
+a failed fit or when that warm start is in doubt; see :func:`gpbo.gp.fit`),
 take the smallest posterior mean at an observed point as the incumbent,
 and propose the EI maximizer.  Degenerate proposals and fit failures fall
 back to the next Sobol point rather than aborting.
@@ -167,8 +168,8 @@ def _history_model(
 ) -> tuple[GpModel, Standardizer]:
     """Fit the surrogate on completed trials, minimizing internally.
 
-    The fit is warm-started from the theta of the most recent trial that
-    has one.
+    The fit is warm-started from the theta of the previous trial.  After a
+    failed fit that theta is None, so the next fit starts cold.
     """
     X = np.stack([t.encoded for t in completed])
     y_raw = np.array([t.observation.objective for t in completed])
@@ -187,7 +188,7 @@ def _history_model(
         y_std,
         seed=_derive_seed(experiment.seed, stream, k),
         noise_diag=noise_diag,
-        start=next((t.theta for t in reversed(experiment.trials) if t.theta is not None), None),
+        start=experiment.trials[-1].theta,
     )
     return model, standardizer
 

@@ -21,7 +21,16 @@ from gpbo import (
     mll_grad,
     posterior,
 )
-from gpbo.gp import FIT_RESTARTS, _mll_core, _pack, _sq_diffs, _unpack, posterior_grad
+from gpbo.gp import (
+    FIT_RESTARTS,
+    LENGTHSCALE_BOUNDS,
+    SIGNAL_VARIANCE_BOUNDS,
+    _mll_core,
+    _pack,
+    _sq_diffs,
+    _unpack,
+    posterior_grad,
+)
 
 from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_value
 
@@ -34,6 +43,33 @@ def random_theta(rng, d, noise=None):
         mean=MeanSpec(float(rng.uniform(-0.5, 0.5))),
         noise_variance=float(rng.uniform(1e-4, 0.1)) if noise is None else noise,
     )
+
+
+def expected_runs(start):
+    """L-BFGS-B runs of one fit under the start rule: the default start, the
+    warm start when given, and the Sobol starts when the warm start is
+    missing or has a lengthscale or the signal variance on (or past) a bound."""
+    if start is None:
+        return FIT_RESTARTS
+    ls, s2 = start.kernel.lengthscales, start.kernel.signal_variance
+    in_doubt = (
+        ls.min() <= LENGTHSCALE_BOUNDS[0] or ls.max() >= LENGTHSCALE_BOUNDS[1]
+        or not SIGNAL_VARIANCE_BOUNDS[0] < s2 < SIGNAL_VARIANCE_BOUNDS[1]
+    )
+    return FIT_RESTARTS + 1 if in_doubt else 2
+
+
+def recorded_runs(monkeypatch):
+    """Record the start point and box of every L-BFGS-B run gpbo.gp makes."""
+    real_minimize = gpbo.gp.minimize
+    runs = []
+
+    def recording_minimize(fun, x0, **kwargs):
+        runs.append((np.array(x0), kwargs["bounds"]))
+        return real_minimize(fun, x0, **kwargs)
+
+    monkeypatch.setattr(gpbo.gp, "minimize", recording_minimize)
+    return runs
 
 
 def core_kernel(spec, X):
@@ -317,7 +353,9 @@ class TestFit:
     def test_one_core_call_per_optimizer_evaluation(self, monkeypatch, fixed_noise):
         # fit keeps the best point the objective has evaluated, so it makes
         # no _mll_core call beyond the nfev of its L-BFGS-B runs, and the
-        # fitted mll is bitwise the largest value the objective saw.
+        # fitted mll is bitwise the largest value the objective saw.  The
+        # starts cycle through none, an interior one and one with a
+        # lengthscale on its upper bound, so each run count is exercised.
         real_core, real_minimize = gpbo.gp._mll_core, gpbo.gp.minimize
         calls, values, nfevs = [], [], []
 
@@ -335,14 +373,24 @@ class TestFit:
         monkeypatch.setattr(gpbo.gp, "_mll_core", core)
         monkeypatch.setattr(gpbo.gp, "minimize", counted_minimize)
         rng = np.random.default_rng(19)
-        for _ in range(3):
+        for case in range(6):
             n, d = int(rng.integers(5, 40)), int(rng.integers(1, 4))
             X, y = rng.random((n, d)), rng.standard_normal(n)
             noise_diag = rng.uniform(0.01, 0.2, n) if fixed_noise else None
+            start = random_theta(rng, d)
+            if case % 3 == 0:
+                start = None
+            elif case % 3 == 2:
+                ls = start.kernel.lengthscales.copy()
+                ls[0] = LENGTHSCALE_BOUNDS[1]
+                start = GpHyperparams(
+                    KernelSpec("matern52", ls, start.kernel.signal_variance),
+                    start.mean, start.noise_variance,
+                )
             for log in (calls, values, nfevs):
                 log.clear()
-            model = fit(X, y, seed=2, noise_diag=noise_diag, start=random_theta(rng, d))
-            assert len(nfevs) == FIT_RESTARTS + 1
+            model = fit(X, y, seed=2, noise_diag=noise_diag, start=start)
+            assert len(nfevs) == expected_runs(start)
             assert len(calls) == sum(nfevs)
             best = max(v for v in values if np.isfinite(v))
             assert mll(model.theta, X, y, noise_diag=noise_diag) == best
@@ -352,14 +400,7 @@ class TestFit:
         # Every L-BFGS-B run searches the log of each bound constant (the
         # mean raw), with no noise coordinate when the noise is given, and a
         # warm start outside that box starts on its edge.
-        real_minimize = gpbo.gp.minimize
-        runs = []
-
-        def recording_minimize(fun, x0, **kwargs):
-            runs.append((np.array(x0), kwargs["bounds"]))
-            return real_minimize(fun, x0, **kwargs)
-
-        monkeypatch.setattr(gpbo.gp, "minimize", recording_minimize)
+        runs = recorded_runs(monkeypatch)
         rng = np.random.default_rng(20)
         d = 2
         X, y = rng.random((6, d)), rng.standard_normal(6)
@@ -379,6 +420,45 @@ class TestFit:
         # Start 0 is the default, start 1 the warm start: its first
         # lengthscale is below the box, everything else above it.
         np.testing.assert_array_equal(runs[1][0], np.append(lo[0], hi[1:]))
+
+    @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
+    @pytest.mark.parametrize(
+        "move, runs",
+        [
+            pytest.param({}, 2, id="interior"),
+            pytest.param({"ls": 1e3}, FIT_RESTARTS + 1, id="lengthscale-on-upper-bound"),
+            pytest.param({"ls": 1e3 * (1 - 1e-12)}, FIT_RESTARTS + 1,
+                         id="lengthscale-within-1e-9-of-bound"),
+            pytest.param({"ls": 1e3 * (1 - 1e-6)}, 2, id="lengthscale-1e-6-inside-bound"),
+            pytest.param({"s2": 1e-4}, FIT_RESTARTS + 1, id="signal-variance-on-lower-bound"),
+            pytest.param({"mean": 2.0}, 2, id="mean-on-bound"),
+            pytest.param({"noise": 1e-8}, 2, id="noise-on-floor"),
+            pytest.param(None, FIT_RESTARTS, id="no-start"),
+        ],
+    )
+    def test_cold_starts_only_when_warm_start_in_doubt(self, monkeypatch, move, runs, fixed_noise):
+        # Each case moves one coordinate of an interior warm start, or drops
+        # it; the interior start itself must run the default and warm
+        # starts only, so every case also pins that no-doubt baseline.
+        runs_made = recorded_runs(monkeypatch)
+        rng = np.random.default_rng(21)
+        d = 2
+        X, y = rng.random((9, d)), rng.standard_normal(9)
+        noise_diag = np.full(9, 0.01) if fixed_noise else None
+
+        def theta(ls=0.7, s2=1.5, mean=0.2, noise=1e-3):
+            return GpHyperparams(KernelSpec("matern52", np.array([0.3, ls]), s2), MeanSpec(mean), noise)
+
+        fit(X, y, seed=4, noise_diag=noise_diag, start=theta())
+        assert len(runs_made) == 2
+        runs_made.clear()
+        start = None if move is None else theta(**move)
+        fit(X, y, seed=4, noise_diag=noise_diag, start=start)
+        assert len(runs_made) == runs
+        # The default start always runs first, and the warm start next.
+        np.testing.assert_array_equal(runs_made[0][0], _pack(default_hyperparams(d), not fixed_noise))
+        if start is not None:
+            np.testing.assert_array_equal(runs_made[1][0], _pack(start, not fixed_noise))
 
     @pytest.mark.parametrize("fixed_noise", [False, True])
     def test_warm_start_never_worse_than_start_or_default(self, fixed_noise):

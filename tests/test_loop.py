@@ -331,6 +331,29 @@ class TestOptimize:
         assert len(starts) == 5
 
 
+    def test_fit_after_a_failed_fit_starts_cold(self, monkeypatch):
+        import gpbo.loop
+        from gpbo import NumericalError
+
+        starts = []
+        real_fit = gpbo.loop.fit_gp
+
+        def failing_second_fit(X, y, **kwargs):
+            starts.append(kwargs["start"])
+            if len(starts) == 2:
+                raise NumericalError("synthetic failure")
+            return real_fit(X, y, **kwargs)
+
+        monkeypatch.setattr(gpbo.loop, "fit_gp", failing_second_fit)
+        _, exp = optimize(unit_space(), quadratic, total_trials=9, seed=2)
+        assert exp.trials[6].metadata["fallback"] == "gp-fit-failure"
+        # Trial 6's fit warmed from trial 5; trial 7's follows the failure
+        # and gets no warm start, although trial 5 still holds a theta.
+        assert starts[1] is exp.trials[5].theta is not None
+        assert starts[2] is None
+        assert starts[3] is exp.trials[7].theta
+
+
 class TestBestResult:
     def test_single_completed_trial(self):
         exp = new_experiment(unit_space(), seed=0)
