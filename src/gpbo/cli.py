@@ -1,8 +1,9 @@
 """Command-line surface: run, validate, and bench subcommands.
 
-Exit codes: 0 success, 1 no trial completed, 2 configuration error.
-A run writes ``trials.csv`` (always, once the loop has started) and
-``report.json`` (on success) into the output directory.
+Exit codes: 0 success, 1 no trial completed, 2 configuration error
+(an output that cannot be written included).  A run writes ``trials.csv``
+(always, once the loop has started) and ``report.json`` (on success) into
+the output directory.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 from .benchmarks import BUILTIN_NAMES, default_space, make_builtin
 from .config import BuiltinObjective, RunConfig, parse_config
-from .errors import ConfigError
+from .errors import ConfigError, UsageError
 from .external import make_command_evaluator
 from .loop import NoCompletedTrialsError, TrialStatus, optimize
 from .space import ValidationReport, validate_space
@@ -36,6 +37,25 @@ def _print_violations(report: ValidationReport) -> int:
     for v in report.violations:
         print(f"error: {v}", file=sys.stderr)
     return EXIT_CONFIG
+
+
+def _write_outputs(experiment, out_dir: Path, summary: dict | None) -> bool:
+    """Write ``trials.csv``, then ``report.json`` when there is a summary.
+
+    Prints the error and returns False if either cannot be written.
+    """
+    report = out_dir / "report.json"
+    try:
+        write_trial_log(experiment, out_dir / "trials.csv")
+        if summary is not None:
+            report.write_text(json.dumps(summary, indent=2) + "\n")
+    except UsageError as exc:  # write_trial_log's, naming its file
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    except OSError as exc:
+        print(f"error: cannot write report to {report}: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def run(config: RunConfig) -> int:
@@ -60,11 +80,11 @@ def run(config: RunConfig) -> int:
             seed=config.seed,
         )
     except NoCompletedTrialsError as exc:
-        write_trial_log(exc.experiment, out_dir / "trials.csv")
+        if not _write_outputs(exc.experiment, out_dir, None):
+            return EXIT_CONFIG
         print("error: no completed trials", file=sys.stderr)
         return EXIT_NO_COMPLETED
     wall_ms = int((time.perf_counter() - began) * 1000)
-    write_trial_log(experiment, out_dir / "trials.csv")
     n_failed = sum(1 for t in experiment.trials if t.status == TrialStatus.FAILED)
     summary = {
         "best_arm": dict(best.arm.values),
@@ -76,7 +96,8 @@ def run(config: RunConfig) -> int:
         "seed": config.seed,
         "wall_ms": wall_ms,
     }
-    (out_dir / "report.json").write_text(json.dumps(summary, indent=2) + "\n")
+    if not _write_outputs(experiment, out_dir, summary):
+        return EXIT_CONFIG
     direction = "minimum" if config.minimize else "maximum"
     print(f"best configuration ({direction} over {len(experiment.trials)} trials):")
     for name, value in best.arm.values.items():

@@ -74,37 +74,45 @@ def _parse_param_value(cell: str, space: SearchSpace, name: str):
     return float(cell)
 
 
+def _parse_row(row: list[str], names: list[str], space: SearchSpace) -> TrialLogRecord:
+    if len(row) != len(names) + 5:
+        raise UsageError(f"{len(row)} cells, expected {len(names) + 5}")
+    objective_cell, sem_cell, status = row[-3:]
+    return TrialLogRecord(
+        trial_index=int(row[0]),
+        generator=row[1],
+        params={name: _parse_param_value(cell, space, name) for name, cell in zip(names, row[2:])},
+        objective=float(objective_cell) if objective_cell else None,
+        sem=float(sem_cell) if sem_cell else None,
+        status=status,
+    )
+
+
 def read_trial_log(path, space: SearchSpace) -> list[TrialLogRecord]:
-    """Read records back, typing each parameter value by the space."""
+    """Read records back, typing each parameter value by the space.
+
+    A row that is short, long or has a cell of the wrong type raises
+    UsageError naming its line, as a run that stopped mid-write leaves.
+    """
     path = Path(path)
     try:
         with path.open(newline="") as fh:
-            rows = list(csv.reader(fh))
+            reader = csv.reader(fh)
+            rows = [(reader.line_num, row) for row in reader]
     except OSError as exc:
         raise UsageError(f"cannot read trial log from {path}: {exc}") from exc
     if not rows:
         raise UsageError(f"trial log {path} is empty (missing header)")
-    header = rows[0]
+    header = rows[0][1]
     if header[:2] != ["trial_index", "generator"] or header[-3:] != ["objective", "sem", "status"]:
         raise UsageError(f"trial log {path} has an unexpected header: {header}")
     names = header[2:-3]
     records = []
-    for row in rows[1:]:
+    for line, row in rows[1:]:
         if not row:
             continue
-        params = {
-            name: _parse_param_value(cell, space, name)
-            for name, cell in zip(names, row[2 : 2 + len(names)])
-        }
-        objective_cell, sem_cell, status = row[2 + len(names) :]
-        records.append(
-            TrialLogRecord(
-                trial_index=int(row[0]),
-                generator=row[1],
-                params=params,
-                objective=float(objective_cell) if objective_cell else None,
-                sem=float(sem_cell) if sem_cell else None,
-                status=status,
-            )
-        )
+        try:
+            records.append(_parse_row(row, names, space))
+        except (UsageError, ValueError) as exc:
+            raise UsageError(f"trial log {path} line {line}: {exc}") from exc
     return records

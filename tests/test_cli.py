@@ -403,6 +403,28 @@ class TestTrialLog:
         back = read_trial_log(path, exp.space)
         assert back[0].objective == value  # lossless float64 round trip
 
+    def test_truncated_last_row_names_its_line(self, tmp_path):
+        # A run that stops mid-write leaves a partial last row.
+        space = default_space("quadratic1d")
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "trial_index,generator,x,objective,sem,status\n"
+            "0,SOBOL,0.5,0.04,,COMPLETED\n"
+            "1,SOBOL,0.2"
+        )
+        with pytest.raises(UsageError, match=r"line 3: 3 cells, expected 6"):
+            read_trial_log(path, space)
+
+    def test_non_numeric_real_cell_names_its_line(self, tmp_path):
+        space = default_space("quadratic1d")
+        path = tmp_path / "trials.csv"
+        path.write_text(
+            "trial_index,generator,x,objective,sem,status\n"
+            "0,SOBOL,0.5,abc,,COMPLETED\n"
+        )
+        with pytest.raises(UsageError, match=r"line 2: could not convert string to float: 'abc'"):
+            read_trial_log(path, space)
+
     def test_column_order_fixed_by_space(self, tmp_path):
         exp = tiny_experiment(1)
         path = tmp_path / "trials.csv"
@@ -656,6 +678,21 @@ class TestMain:
         path = write_config(tmp_path, MINIMAL)
         assert main(["run", str(path), "--out-dir", str(taken)]) == 2
         assert "error: cannot create output directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "blocked, message",
+        [("trials.csv", "cannot write trial log to"), ("report.json", "cannot write report to")],
+    )
+    def test_unwritable_output_file_exits_2(self, tmp_path, capsys, blocked, message):
+        # A directory in the file's place makes the write fail after the
+        # whole budget is spent; that is reported, not raised.
+        out = tmp_path / "od"
+        (out / blocked).mkdir(parents=True)
+        code = main(["bench", "quadratic1d", "--trials", "6", "--out-dir", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"error: {message} {out / blocked}" in err
+        assert "Traceback" not in err
 
     def test_run_missing_config_exits_2(self, tmp_path):
         assert main(["run", str(tmp_path / "none.json")]) == 2
