@@ -5,16 +5,20 @@ on fixed inputs, in one process pinned to one CPU with one BLAS thread,
 against the ``src/`` of the checkout this script belongs to (or the one
 ``--src`` names):
 
-* ``mll_grad_us``: one ``mll_grad``, at (N, d) = (60, 2) with fitted
-  noise and at (30, 5) with a fixed ``noise_diag``, each at the
-  hyperparameters a fit picks on its data;
-* ``fit_ms``: one ``fit`` with its cold starts plus a warm start from the
-  fit on the history one observation shorter, on the same two datasets;
-* ``posterior_256_us``: one 256-point ``posterior`` on the two fitted
+* ``mll_grad_us``: one ``mll_grad``, at (N, d) = (60, 2) and (60, 6)
+  with fitted noise and at (30, 5) with a fixed ``noise_diag``, each at
+  the hyperparameters a fit picks on its data;
+* ``fit_ms``: one ``fit`` warm-started from the fit on the history one
+  observation shorter, as the loop fits, on the same three datasets.
+  It runs the Sobol starts only if that warm start is in doubt (see
+  ``gpbo.gp.fit``), so it may time the default and warm starts alone;
+* ``fit_cold_ms``: one ``fit`` with no warm start, which always runs the
+  default start and the Sobol starts, on the same three datasets;
+* ``posterior_256_us``: one 256-point ``posterior`` on the fitted
   models, the size of one chunk of the acquisition's Sobol scatter;
 * ``refine_eval_us``: one evaluation of the acquisition refine's
   objective, ``posterior_grad`` and ``log_ei`` on 8 points;
-* ``maximize_ms``: one ``maximize_acquisition`` on the two fitted models;
+* ``maximize_ms``: one ``maximize_acquisition`` on the fitted models;
 * ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine.
 
 Next to each ``fit`` timing is its number of ``_mll_core`` calls
@@ -118,9 +122,10 @@ def measure(src: Path) -> dict:
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     starts = {"restarts": 3} if "restarts" in inspect.signature(fit).parameters else {}
-    cases = {"n60_d2_fitted_noise": (60, 2, False), "n30_d5_fixed_noise": (30, 5, True)}
-    out = {"mll_grad_us": {}, "fit_ms": {}, "posterior_256_us": {}, "refine_eval_us": {},
-           "maximize_ms": {}}
+    cases = {"n60_d2_fitted_noise": (60, 2, False), "n30_d5_fixed_noise": (30, 5, True),
+             "n60_d6_fitted_noise": (60, 6, False)}
+    out = {"mll_grad_us": {}, "fit_ms": {}, "fit_cold_ms": {}, "posterior_256_us": {},
+           "refine_eval_us": {}, "maximize_ms": {}}
     for name, (n, d, fixed_noise) in cases.items():
         X, y, nd = dataset(n, d, seed=n + d, fixed_noise=fixed_noise)
         warm = fit(X[:-1], y[:-1], seed=1, noise_diag=None if nd is None else nd[:-1],
@@ -128,11 +133,12 @@ def measure(src: Path) -> dict:
         model = fit(X, y, seed=2, noise_diag=nd, start=warm, **starts)
         out["mll_grad_us"][name] = timed(lambda: mll_grad(model.theta, X, y, nd), 1e6)
 
-        def fit_once():
-            fit(X, y, seed=2, noise_diag=nd, start=warm, **starts)
+        for layer, start in (("fit_ms", warm), ("fit_cold_ms", None)):
+            def fit_once(start=start):
+                fit(X, y, seed=2, noise_diag=nd, start=start, **starts)
 
-        out["fit_ms"][name] = dict(
-            timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))
+            out[layer][name] = dict(
+                timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))
         queries = np.random.default_rng(4).random((256, d))
         out["posterior_256_us"][name] = timed(lambda: posterior(model, queries), 1e6)
         incumbent = incumbent_value(model)
