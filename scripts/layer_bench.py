@@ -19,7 +19,11 @@ against the ``src/`` of the checkout this script belongs to (or the one
 * ``refine_eval_us``: one evaluation of the acquisition refine's
   objective, ``posterior_grad`` and ``log_ei`` on 8 points;
 * ``maximize_ms``: one ``maximize_acquisition`` on the fitted models;
-* ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine.
+* ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine;
+* ``lbfgsb_us_per_eval``: one ``gpbo.gp.minimize`` run on a fixed 6-d box
+  quadratic, whose evaluations cost a few microseconds, divided by its
+  number of evaluations (``nfev``, reported beside it): the optimizer's
+  own cost per evaluation, apart from any objective.
 
 Next to each ``fit`` timing is its number of ``_mll_core`` calls
 (``mll_core_calls``), and next to each ``maximize_acquisition`` timing its
@@ -38,7 +42,9 @@ layer it prints the median over rounds per side and the median and range
 of the per-round change/parent ratio; a range that stays on one side of
 1 is a change the host's drift cannot explain.  The last line is the
 same table as JSON.  A checkout whose ``fit`` still takes ``restarts``
-is given the loop's 3, so that both sides fit from as many starts.
+is given the loop's 3, so that both sides fit from as many starts, and
+one whose ``gpbo.gp.minimize`` is scipy's is passed ``jac=True,
+method="L-BFGS-B"``, so that both sides run the same optimizer.
 
 Usage:
     python scripts/layer_bench.py
@@ -65,7 +71,7 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
 ROUNDS = 10
-COUNT_KEYS = ("mll_core_calls", "posterior_grad_calls")
+COUNT_KEYS = ("mll_core_calls", "posterior_grad_calls", "nfev")
 
 
 def timed(call, scale: float) -> dict:
@@ -107,6 +113,24 @@ def dataset(n: int, d: int, seed: int, fixed_noise: bool):
     y = (y - y.mean()) / y.std()
     noise_diag = np.full(n, 0.01) if fixed_noise else None
     return X, y, noise_diag
+
+
+def optimizer_cost(minimize) -> dict:
+    """Microseconds per evaluation of one ``minimize`` run on a 6-d box
+    quadratic, with the run's ``nfev``."""
+    method = {"jac": True, "method": "L-BFGS-B"} if minimize.__module__.startswith("scipy") else {}
+    weights, centre = np.logspace(0.0, 3.0, 6), np.linspace(-0.5, 1.5, 6)
+
+    def quadratic(x):
+        r = x - centre
+        return float(weights @ (r * r)), 2.0 * weights * r
+
+    def run_once():
+        return minimize(quadratic, np.zeros(6), bounds=[(-1.0, 1.0)] * 6,
+                        options={"maxiter": 200}, **method)
+
+    nfev = run_once().nfev
+    return dict(timed(run_once, 1e6 / nfev), nfev=nfev)
 
 
 def measure(src: Path) -> dict:
@@ -153,6 +177,7 @@ def measure(src: Path) -> dict:
             posterior_grad_calls=counted(gpbo.acqopt, "posterior_grad", maximize_once),
         )
     out["sobol_1024_ms"] = timed(lambda: SobolEngine(5).next(1024), 1e3)
+    out["lbfgsb_us_per_eval"] = optimizer_cost(gpbo.gp.minimize)
     out.update(
         repeats=REPEATS,
         nproc=os.cpu_count(),

@@ -3,15 +3,15 @@
 Deterministic multi-start search in the raw-samples-then-restarts pattern
 of BoTorch's ``optimize_acqf``: score a Sobol scatter of 1024 candidates
 by expected improvement, then refine the best 8 (those with EI > 0)
-jointly by one bounded L-BFGS-B run on the sum of their log-EI, using the
-analytic gradient of the posterior (:func:`gpbo.gp.posterior_grad`).  The
-starts share each posterior call, one line search and one L-BFGS memory,
-so one start's steep gradient can shorten every start's step.  log-EI
-(Ament et al. 2023) stays finite and informative where EI is flat or
-underflows to 0.  The run stops after 200 iterations or once a step
-raises the summed log-EI by less than 1e-7 of its magnitude (``ftol``;
-scipy's default, about 2.2e-9, spends 40% more posterior calls on the
-final approach).
+jointly by one bounded L-BFGS-B run (:func:`gpbo.lbfgsb.minimize`) on
+the sum of their log-EI, using the analytic gradient of the posterior
+(:func:`gpbo.gp.posterior_grad`).  The starts share each posterior call,
+one line search and one L-BFGS memory, so one start's steep gradient can
+shorten every start's step.  log-EI (Ament et al. 2023) stays finite and
+informative where EI is flat or underflows to 0.  The run stops after 200
+iterations or once a step raises the summed log-EI by less than 1e-7 of
+its magnitude (``ftol``; scipy's default, about 2.2e-9, spends 40% more
+posterior calls on the final approach).
 
 A refined point replaces the best so far only if its EI, scored through
 the same :func:`posterior` path as the scatter, is strictly larger, so
@@ -26,11 +26,8 @@ import numpy as np
 from .acquisition import ei, log_ei
 from .errors import NumericalError
 from .gp import GpModel, posterior, posterior_grad
+from .lbfgsb import minimize
 from .sobol import SobolEngine
-
-# Imported after .acquisition on purpose: loading scipy.optimize before
-# scipy.special makes ``import gpbo`` about 15 ms slower and 0.3 MiB larger.
-from scipy.optimize import minimize
 
 CANDIDATE_COUNT = 1024
 # Scored in chunks, which keeps peak memory where a 256-point scatter left
@@ -70,8 +67,8 @@ def maximize_acquisition(
         return -float(log_values.sum()), -grad.ravel()
 
     res = minimize(
-        objective, candidates[top].ravel(), jac=True, method="L-BFGS-B",
-        bounds=[(0.0, 1.0)] * (len(top) * d), options={"maxiter": 200, "ftol": 1e-7},
+        objective, candidates[top].ravel(), bounds=[(0.0, 1.0)] * (len(top) * d),
+        options={"maxiter": 200, "ftol": 1e-7},
     )
     refined = np.clip(res.x.reshape(-1, d), 0.0, 1.0)
     for x, v in zip(refined, ei(posterior(model, refined), incumbent)):

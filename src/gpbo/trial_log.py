@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import UsageError
-from .loop import Experiment
+from .loop import Experiment, GeneratorKind, TrialStatus
 from .space import CHOICE, FIXED, RANGE_INT, SearchSpace, format_value
 
 
@@ -74,13 +74,28 @@ def _parse_param_value(cell: str, space: SearchSpace, name: str):
     return float(cell)
 
 
-def _parse_row(row: list[str], names: list[str], space: SearchSpace) -> TrialLogRecord:
+def _parse_row(
+    row: list[str], names: list[str], space: SearchSpace, position: int
+) -> TrialLogRecord:
     if len(row) != len(names) + 5:
         raise UsageError(f"{len(row)} cells, expected {len(names) + 5}")
+    index_cell, generator = row[:2]
     objective_cell, sem_cell, status = row[-3:]
+    if int(index_cell) != position:
+        raise UsageError(f"trial_index {index_cell}, expected {position}")
+    if generator not in {kind.value for kind in GeneratorKind}:
+        raise UsageError(f"unknown generator {generator!r}")
+    if status == TrialStatus.COMPLETED.value:
+        if not objective_cell:
+            raise UsageError("COMPLETED row has no objective")
+    elif status == TrialStatus.FAILED.value:
+        if objective_cell or sem_cell:
+            raise UsageError("FAILED row has an objective or a sem")
+    else:
+        raise UsageError(f"unknown status {status!r}")
     return TrialLogRecord(
-        trial_index=int(row[0]),
-        generator=row[1],
+        trial_index=position,
+        generator=generator,
         params={name: _parse_param_value(cell, space, name) for name, cell in zip(names, row[2:])},
         objective=float(objective_cell) if objective_cell else None,
         sem=float(sem_cell) if sem_cell else None,
@@ -93,6 +108,10 @@ def read_trial_log(path, space: SearchSpace) -> list[TrialLogRecord]:
 
     A row that is short, long or has a cell of the wrong type raises
     UsageError naming its line, as a run that stopped mid-write leaves.
+    So does a row no run writes: an unknown generator or status, a
+    ``trial_index`` other than the row's position (0, 1, ...), a
+    COMPLETED row without an objective or a FAILED row with an objective
+    or a sem.
     """
     path = Path(path)
     try:
@@ -112,7 +131,7 @@ def read_trial_log(path, space: SearchSpace) -> list[TrialLogRecord]:
         if not row:
             continue
         try:
-            records.append(_parse_row(row, names, space))
+            records.append(_parse_row(row, names, space, len(records)))
         except (UsageError, ValueError) as exc:
             raise UsageError(f"trial log {path} line {line}: {exc}") from exc
     return records

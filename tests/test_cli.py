@@ -425,6 +425,28 @@ class TestTrialLog:
         with pytest.raises(UsageError, match=r"line 2: could not convert string to float: 'abc'"):
             read_trial_log(path, space)
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["0,SOBLO,0.5,0.04,,COMPLETED"], r"line 2: unknown generator 'SOBLO'"),
+            (["0,SOBOL,0.5,0.04,,DONE"], r"line 2: unknown status 'DONE'"),
+            (["0,SOBOL,0.5,0.04,,COMPLETED", "0,SOBOL,0.2,0.09,,COMPLETED"],
+             r"line 3: trial_index 0, expected 1"),
+            (["1,SOBOL,0.5,0.04,,COMPLETED"], r"line 2: trial_index 1, expected 0"),
+            (["0,SOBOL,0.5,,,COMPLETED"], r"line 2: COMPLETED row has no objective"),
+            (["0,SOBOL,0.5,0.04,,FAILED"], r"line 2: FAILED row has an objective or a sem"),
+            (["0,SOBOL,0.5,,0.01,FAILED"], r"line 2: FAILED row has an objective or a sem"),
+        ],
+        ids=["unknown-generator", "unknown-status", "repeated-index", "out-of-order-index",
+             "completed-without-objective", "failed-with-objective", "failed-with-sem"],
+    )
+    def test_row_no_run_writes_names_its_line(self, tmp_path, rows, message):
+        space = default_space("quadratic1d")
+        path = tmp_path / "trials.csv"
+        path.write_text("\n".join(["trial_index,generator,x,objective,sem,status", *rows]) + "\n")
+        with pytest.raises(UsageError, match=rf"trial log .*trials\.csv {message}"):
+            read_trial_log(path, space)
+
     def test_column_order_fixed_by_space(self, tmp_path):
         exp = tiny_experiment(1)
         path = tmp_path / "trials.csv"
