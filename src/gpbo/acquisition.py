@@ -17,10 +17,10 @@ acquisition optimizer ascends :func:`log_ei` instead (Ament et al. 2023,
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import erfcx, ndtr
 
 from .errors import UsageError
 from .gp import GpModel, PosteriorSummary, posterior
+from .scipy_cores import erfcx, ndtr
 
 _SIGMA_FLOOR = 1e-12
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)

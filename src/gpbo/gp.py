@@ -40,15 +40,10 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs, dtrtri
 
 from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
-
-# Loads scipy.optimize.  ``import gpbo`` reaches this module through
-# .acquisition, which loads scipy.special first: the other order makes the
-# import about 15 ms slower and 0.3 MiB larger.
 from .lbfgsb import minimize
+from .scipy_cores import dpotrf, dpotrs, dtrtri, dtrtrs
 from .sobol import MAX_DIMENSION, SobolEngine
 
 MATERN52 = "matern52"
@@ -331,7 +326,7 @@ def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
     return GpModel(
         X=X,
         theta=theta,
-        chol_inv=solve_triangular(L, np.eye(L.shape[0]), lower=True),
+        chol_inv=dtrtrs(L, np.eye(L.shape[0]), lower=1)[0],
         alpha=parts.alpha,
         jitter_used=parts.jitter,
     )

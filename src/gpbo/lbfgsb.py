@@ -15,7 +15,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize._lbfgsb import setulb
+
+from .scipy_cores import setulb
 
 MAXCOR = 10
 MAXLS = 20

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import gpbo.gp
 from gpbo import (
@@ -198,6 +199,27 @@ def test_targets_must_match_the_rows_of_x(entry):
     X = np.random.default_rng(0).random((6, 2))
     with pytest.raises(SpaceError, match=r"y must have shape \(6,\)"):
         entry(X, np.zeros(5))
+
+
+@pytest.mark.parametrize("n, duplicates", [(1, False), (5, False), (60, False), (6, True)])
+def test_chol_inv_is_solve_triangular_bitwise(n, duplicates):
+    """The model's inverse factor, from LAPACK's dtrtrs, is what
+    scipy.linalg.solve_triangular returns for the same factor."""
+    rng = np.random.default_rng(n)
+    X = rng.random((n, 3))
+    if duplicates:
+        X[n // 2:] = X[: n - n // 2]
+    y = rng.standard_normal(n)
+    theta = random_theta(rng, 3, noise=0.0 if duplicates else None)
+    model = make_model(X, y, theta)
+    assert (model.jitter_used > 0.0) == duplicates
+    spec = theta.kernel
+    L = _mll_core(
+        _sq_diffs(X), y, spec.lengthscales, spec.signal_variance, theta.noise_variance,
+        theta.mean.constant, False,
+    ).chol
+    ref = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+    assert model.chol_inv.tobytes() == ref.tobytes()
 
 
 class TestMll:
