@@ -11,7 +11,8 @@ against the ``src/`` of the checkout this script belongs to (or the one
 * ``fit_ms``: one ``fit`` warm-started from the fit on the history one
   observation shorter, as the loop fits, on the same three datasets.
   It runs the Sobol starts only if that warm start is in doubt (see
-  ``gpbo.gp.fit``), so it may time the default and warm starts alone;
+  ``gpbo.gp.fit``); otherwise it scores the default and warm starts and
+  times one L-BFGS-B run from the better of the two;
 * ``fit_cold_ms``: one ``fit`` with no warm start, which always runs the
   default start and the Sobol starts, on the same three datasets;
 * ``posterior_256_us``: one 256-point ``posterior`` on the fitted
@@ -25,11 +26,11 @@ against the ``src/`` of the checkout this script belongs to (or the one
   number of evaluations (``nfev``, reported beside it): the optimizer's
   own cost per evaluation, apart from any objective.
 
-Next to each ``fit`` timing is its number of ``_mll_core`` calls
-(``mll_core_calls``), and next to each ``maximize_acquisition`` timing its
-number of ``posterior_grad`` calls (``posterior_grad_calls``).  The
-counts are deterministic, so unlike the timings they do not move with
-host drift.
+Next to each ``fit`` timing are its numbers of ``_mll_core`` calls
+(``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``), and next to
+each ``maximize_acquisition`` timing its number of ``posterior_grad``
+calls (``posterior_grad_calls``).  The counts are deterministic, so
+unlike the timings they do not move with host drift.
 
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
 and scipy versions.
@@ -71,7 +72,7 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
 ROUNDS = 10
-COUNT_KEYS = ("mll_core_calls", "posterior_grad_calls", "nfev")
+COUNT_KEYS = ("mll_core_calls", "lbfgs_runs", "posterior_grad_calls", "nfev")
 
 
 def timed(call, scale: float) -> dict:
@@ -162,7 +163,10 @@ def measure(src: Path) -> dict:
                 fit(X, y, seed=2, noise_diag=nd, start=start, **starts)
 
             out[layer][name] = dict(
-                timed(fit_once, 1e3), mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once))
+                timed(fit_once, 1e3),
+                mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once),
+                lbfgs_runs=counted(gpbo.gp, "minimize", fit_once),
+            )
         queries = np.random.default_rng(4).random((256, d))
         out["posterior_256_us"][name] = timed(lambda: posterior(model, queries), 1e6)
         incumbent = incumbent_value(model)

@@ -9,13 +9,16 @@ the same seeds, and pairs their per-seed regrets:
   script;
 * ``hartmann6``: ``gpbo.optimize`` on the builtin hartmann6 (d = 6) for
   30 trials, against each checkout's ``src/``.  Regret is the best observed
-  value minus the global minimum, -3.32236801141551.
+  value minus the global minimum, -3.32236801141551.  Each run's wall
+  seconds are recorded too, so the verdict comes with the d = 6 speed.
 
 Both checkouts run at once, each in its own interpreter with one BLAS
-thread; regret does not depend on timing.  Per workload it prints how
-many seeds the change wins (lower regret), loses and ties, the median
-paired difference (change minus parent) and the two-sided Wilcoxon
-signed-rank p (``scipy.stats.wilcoxon``, zero differences dropped).  The
+thread; regret does not depend on timing, and on a host with fewer than
+two free CPUs the two sides' seconds slow each other alike.  Per workload
+it prints how many seeds the change wins (lower regret), loses and ties,
+the median paired difference (change minus parent) and the two-sided
+Wilcoxon signed-rank p (``scipy.stats.wilcoxon``, zero differences
+dropped), and for hartmann6 each side's median wall seconds per run.  The
 last line is the same verdict as JSON, with every per-seed regret.
 
 Usage:
@@ -45,13 +48,15 @@ HARTMANN6_MIN = -3.32236801141551
 REGRET_LINE = re.compile(r"^# (\S+) seed (\d+): .* regret (\S+)$", re.MULTILINE)
 
 HARTMANN6_RUNS = f"""
-import sys
+import sys, time
 from gpbo import optimize
 from gpbo.benchmarks import default_space, make_builtin
 for seed in map(int, sys.argv[1:]):
+    t0 = time.perf_counter()
     best, _ = optimize(default_space("hartmann6"), make_builtin("hartmann6", {{}}),
                        total_trials={HARTMANN6_TRIALS}, seed=seed)
-    print(seed, repr(best.observed_objective - ({HARTMANN6_MIN!r})))
+    seconds = time.perf_counter() - t0
+    print(seed, repr(best.observed_objective - ({HARTMANN6_MIN!r})), seconds)
 """
 
 
@@ -77,15 +82,19 @@ def start(checkout: Path, workload: str, seeds: list[int]) -> subprocess.Popen:
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
 
-def regrets(proc: subprocess.Popen, checkout: Path, workload: str) -> dict[int, float]:
-    """Seed -> regret from a finished run; exits if the run failed."""
+def regrets(proc: subprocess.Popen, checkout: Path,
+            workload: str) -> tuple[dict[int, float], list[float]]:
+    """Seed -> regret from a finished run, and the wall seconds of each
+    hartmann6 run (none for the perfbench workloads); exits if the run
+    failed."""
     out, err = proc.communicate()
     if proc.returncode != 0:
         sys.exit(f"{workload} in {checkout} exited {proc.returncode}:\n{err}")
     if workload in PERFBENCH_WORKLOADS:
         return {int(seed): float(r) for name, seed, r in REGRET_LINE.findall(out)
-                if name == workload}
-    return {int(seed): float(r) for seed, r in (line.split() for line in out.splitlines())}
+                if name == workload}, []
+    rows = [line.split() for line in out.splitlines()]
+    return {int(seed): float(r) for seed, r, _ in rows}, [float(s) for *_, s in rows]
 
 
 def verdict(change: dict[int, float], parent: dict[int, float]) -> dict:
@@ -129,12 +138,18 @@ def main() -> int:
             parser.error(f"unknown workload {workload!r}; choose from {', '.join(WORKLOADS)}")
         procs = {side: start(path, workload, seeds) for side, path in checkouts.items()}
         found = {side: regrets(procs[side], path, workload) for side, path in checkouts.items()}
-        row = verdict(found["change"], found["parent"])
+        row = verdict(found["change"][0], found["parent"][0])
+        timing = ""
+        if found["change"][1]:
+            row["median_run_s"] = {side: round(float(np.median(found[side][1])), 3)
+                                   for side in checkouts}
+            timing = (f"; median s per run {row['median_run_s']['parent']:.3f} -> "
+                      f"{row['median_run_s']['change']:.3f}")
         report["workloads"][workload] = row
         print(f"{workload}: {row['wins']} better, {row['losses']} worse, {row['ties']} tied "
               f"of {row['seeds']}; median regret {row['median_parent']:.4g} -> "
               f"{row['median_change']:.4g}, median paired difference "
-              f"{row['median_diff']:+.3g}, Wilcoxon p = {row['wilcoxon_p']}", flush=True)
+              f"{row['median_diff']:+.3g}, Wilcoxon p = {row['wilcoxon_p']}{timing}", flush=True)
     print(json.dumps(report))
     return 0
 

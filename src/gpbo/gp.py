@@ -24,11 +24,12 @@ start, the log marginal likelihood
 using the analytic gradient over log-parameters and a bounded quasi-Newton
 local method (L-BFGS-B: scipy's core, driven by
 :func:`gpbo.lbfgsb.minimize` without scipy's ``minimize`` wrapper).
-``FIT_RESTARTS - 1`` Sobol starts join those two only when the warm start
-is in doubt: when there is none, or when it has a lengthscale or the
-signal variance on a bound.  The fit keeps the best hyperparameters,
-factor and alpha that any start's evaluations reached, so nothing is
-re-scored after the runs.
+When the warm start is in doubt (there is none, or it has a lengthscale or
+the signal variance on a bound), ``FIT_RESTARTS - 1`` Sobol starts join
+those two and every start is refined.  Otherwise the default and the warm
+start are scored once each, and only the one with the larger mll is
+refined.  The fit keeps the best hyperparameters, factor and alpha that any
+evaluation reached, so nothing is re-scored after the runs.
 """
 
 from __future__ import annotations
@@ -53,8 +54,9 @@ SIGNAL_VARIANCE_BOUNDS = (1e-4, 1e4)
 NOISE_VARIANCE_BOUNDS = (1e-8, 1.0)
 MEAN_BOUNDS = (-2.0, 2.0)
 
-# Starts of a fit whose warm start is in doubt: the default hyperparameters
-# first, then FIT_RESTARTS - 1 Sobol points (see fit).
+# Cold starts of a fit whose warm start is in doubt, all refined: the
+# default hyperparameters first, then FIT_RESTARTS - 1 Sobol points.  A
+# trusted warm start instead makes one run, from it or the default (see fit).
 FIT_RESTARTS = 3
 
 # Relative jitter ladder; scaled by the mean diagonal of K when factorizing.
@@ -410,27 +412,30 @@ def _start_points(lo, hi, seed: int, given: list, cold: int) -> list[np.ndarray]
 
 
 def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None) -> GpModel:
-    """Fit hyperparameters by multi-start maximum marginal likelihood.
+    """Fit hyperparameters by maximum marginal likelihood from a few starts.
 
-    Each start runs bounded L-BFGS-B (:func:`gpbo.lbfgsb.minimize`, which
-    takes scipy's steps bit for bit; max 200 iterations, projected gradient
-    tolerance 1e-6, relative-reduction tolerance ``ftol`` 1e-7 against
-    scipy's default of about 2.2e-9) on the negative mll over
+    A refined start runs bounded L-BFGS-B (:func:`gpbo.lbfgsb.minimize`,
+    which takes scipy's steps bit for bit; max 200 iterations, projected
+    gradient tolerance 1e-6, relative-reduction tolerance ``ftol`` 1e-7
+    against scipy's default of about 2.2e-9) on the negative mll over
     log-parameters.  The objective keeps the best point it has evaluated,
-    with its factor and alpha, so the largest mll any start reached wins,
-    ties going to the earliest evaluation; nothing is re-scored afterwards.
-    L-BFGS-B evaluates each start before it moves, and the default
-    hyperparameters are always start 0, so the fitted mll is never worse
-    than theirs.  A warm ``start`` (typically the previous fit's theta on a
-    history one observation shorter), clipped into the bounds, is start 1,
-    so the fitted mll is never worse than its mll either.
-    ``FIT_RESTARTS - 1`` Sobol starts follow only when the warm start is in
-    doubt: when no ``start`` is given, or when the clipped start has a
-    lengthscale or the signal variance on a bound (within 1e-9 relative in
-    log space).  A mean on its bound or a noise variance on its floor is no
-    doubt.  The returned model keeps the factorization computed at the winning
-    hyperparameters, which ``make_model(X, y, model.theta, noise_diag)``
-    reproduces bitwise.
+    with its factor and alpha, so the largest mll any evaluation reached
+    wins, ties going to the earliest; nothing is re-scored afterwards.  The
+    default hyperparameters are always start 0 and a warm ``start``
+    (typically the previous fit's theta on a history one observation
+    shorter), clipped into the bounds, is start 1.  Both are evaluated, so
+    the fitted mll is never worse than either's.
+
+    The warm start is in doubt when no ``start`` is given, or when the
+    clipped start has a lengthscale or the signal variance on a bound
+    (within 1e-9 relative in log space); a mean on its bound or a noise
+    variance on its floor is no doubt.  Then ``FIT_RESTARTS - 1`` Sobol
+    starts follow, and every start is refined.  Otherwise the default and
+    the warm start are scored once each and only the one with the larger
+    mll is refined, the default on a tie; its score is the run's first
+    evaluation, so no point is evaluated twice.  The returned model keeps
+    the factorization computed at the winning hyperparameters, which
+    ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
 
     When ``noise_diag`` is given (per-observation noise variances), the
     noise is fixed rather than fitted.  A ``start`` from such a fit has
@@ -442,8 +447,9 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     X : (N, d) array of unit-cube inputs, N >= 1
     y : (N,) array of standardized targets
     seed : offsets the Sobol stream the cold starts are drawn from
-    start : optional hyperparameters refined as one extra start; unless
-        it is in doubt, the Sobol starts are skipped
+    start : optional hyperparameters used as one extra start; unless it is
+        in doubt, the Sobol starts are skipped and only the better of it
+        and the default is refined
     """
     X, y, nd = _dataset(X, y, noise_diag)
     n, d = X.shape
@@ -483,17 +489,31 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             return failed
         if not math.isfinite(parts.value):
             return failed
-        # L-BFGS-B evaluates each start before it moves, so keeping the
-        # largest mll evaluated makes the fit never worse than any start.
+        # Every start is evaluated (scored, or first in its run) before any
+        # step, so keeping the largest mll makes the fit never worse than
+        # any start.
         if best is None or parts.value > best.value:
             best_z, best = np.array(z), parts
         return -parts.value, -parts.grad
 
     failures = []
-    for idx, z0 in enumerate(_start_points(lo, hi, seed, given, cold)):
+    starts, scores = _start_points(lo, hi, seed, given, cold), []
+    if cold == 0:
+        # A trusted warm start: score it and the default, and refine only
+        # the larger mll (a tie goes to the default).  Its score is the
+        # run's first evaluation, so no point is evaluated twice.
+        try:
+            scores = [objective(z) for z in given]
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            failures.append(f"scoring: {exc}")
+            starts = []
+        else:
+            pick = int(scores[1][0] < scores[0][0])
+            starts, scores = [given[pick]], [scores[pick]]
+    for idx, z0 in enumerate(starts):
         try:
             minimize(
-                objective,
+                lambda z: scores.pop() if scores else objective(z),
                 z0,
                 bounds=list(zip(lo, hi)),
                 options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},

@@ -168,8 +168,11 @@ def _history_model(
 ) -> tuple[GpModel, Standardizer]:
     """Fit the surrogate on completed trials, minimizing internally.
 
-    The fit is warm-started from the theta of the previous trial.  After a
-    failed fit that theta is None, so the next fit starts cold.
+    The fit is warm-started from the theta of the previous trial: unless a
+    lengthscale or the signal variance of that theta sits on a bound, the
+    fit refines only the better-scoring of it and the default theta.
+    After a failed fit that theta is None, so the next fit starts cold and
+    refines the default and the Sobol starts.
     """
     X = np.stack([t.encoded for t in completed])
     y_raw = np.array([t.observation.objective for t in completed])

@@ -49,7 +49,9 @@ def random_theta(rng, d, noise=None):
 def expected_runs(start):
     """L-BFGS-B runs of one fit under the start rule: the default start, the
     warm start when given, and the Sobol starts when the warm start is
-    missing or has a lengthscale or the signal variance on (or past) a bound."""
+    missing or has a lengthscale or the signal variance on (or past) a bound;
+    otherwise one run, from whichever of the default and warm starts scores
+    the larger mll."""
     if start is None:
         return FIT_RESTARTS
     ls, s2 = start.kernel.lengthscales, start.kernel.signal_variance
@@ -57,7 +59,7 @@ def expected_runs(start):
         ls.min() <= LENGTHSCALE_BOUNDS[0] or ls.max() >= LENGTHSCALE_BOUNDS[1]
         or not SIGNAL_VARIANCE_BOUNDS[0] < s2 < SIGNAL_VARIANCE_BOUNDS[1]
     )
-    return FIT_RESTARTS + 1 if in_doubt else 2
+    return FIT_RESTARTS + 1 if in_doubt else 1
 
 
 def recorded_runs(monkeypatch):
@@ -375,9 +377,12 @@ class TestFit:
     def test_one_core_call_per_optimizer_evaluation(self, monkeypatch, fixed_noise):
         # fit keeps the best point the objective has evaluated, so it makes
         # no _mll_core call beyond the nfev of its L-BFGS-B runs, and the
-        # fitted mll is bitwise the largest value the objective saw.  The
-        # starts cycle through none, an interior one and one with a
-        # lengthscale on its upper bound, so each run count is exercised.
+        # fitted mll is bitwise the largest value the objective saw.  With
+        # an interior warm start the losing start's score is the one call
+        # outside the run: the winner's score is its run's first
+        # evaluation.  The starts cycle through none, an interior one and
+        # one with a lengthscale on its upper bound, so each run count is
+        # exercised.
         real_core, real_minimize = gpbo.gp._mll_core, gpbo.gp.minimize
         calls, values, nfevs = [], [], []
 
@@ -406,7 +411,7 @@ class TestFit:
                 log.clear()
             model = fit(X, y, seed=2, noise_diag=noise_diag, start=start)
             assert len(nfevs) == expected_runs(start)
-            assert len(calls) == sum(nfevs)
+            assert len(calls) == sum(nfevs) + (len(nfevs) == 1)
             best = max(v for v in values if np.isfinite(v))
             assert mll(model.theta, X, y, noise_diag=noise_diag) == best
 
@@ -440,21 +445,21 @@ class TestFit:
     @pytest.mark.parametrize(
         "move, runs",
         [
-            pytest.param({}, 2, id="interior"),
+            pytest.param({}, 1, id="interior"),
             pytest.param({"ls": 1e3}, FIT_RESTARTS + 1, id="lengthscale-on-upper-bound"),
             pytest.param({"ls": 1e3 * (1 - 1e-12)}, FIT_RESTARTS + 1,
                          id="lengthscale-within-1e-9-of-bound"),
-            pytest.param({"ls": 1e3 * (1 - 1e-6)}, 2, id="lengthscale-1e-6-inside-bound"),
+            pytest.param({"ls": 1e3 * (1 - 1e-6)}, 1, id="lengthscale-1e-6-inside-bound"),
             pytest.param({"s2": 1e-4}, FIT_RESTARTS + 1, id="signal-variance-on-lower-bound"),
-            pytest.param({"mean": 2.0}, 2, id="mean-on-bound"),
-            pytest.param({"noise": 1e-8}, 2, id="noise-on-floor"),
+            pytest.param({"mean": 2.0}, 1, id="mean-on-bound"),
+            pytest.param({"noise": 1e-8}, 1, id="noise-on-floor"),
             pytest.param(None, FIT_RESTARTS, id="no-start"),
         ],
     )
     def test_cold_starts_only_when_warm_start_in_doubt(self, monkeypatch, move, runs, fixed_noise):
         # Each case moves one coordinate of an interior warm start, or drops
-        # it; the interior start itself must run the default and warm
-        # starts only, so every case also pins that no-doubt baseline.
+        # it; the interior start itself must make one run, from the default
+        # or the warm start, so every case also pins that no-doubt baseline.
         runs_made = recorded_runs(monkeypatch)
         rng = np.random.default_rng(21)
         d = 2
@@ -465,15 +470,58 @@ class TestFit:
             return GpHyperparams(KernelSpec("matern52", np.array([0.3, ls]), s2), MeanSpec(mean), noise)
 
         fit(X, y, seed=4, noise_diag=noise_diag, start=theta())
-        assert len(runs_made) == 2
+        assert len(runs_made) == 1
         runs_made.clear()
         start = None if move is None else theta(**move)
         fit(X, y, seed=4, noise_diag=noise_diag, start=start)
         assert len(runs_made) == runs
-        # The default start always runs first, and the warm start next.
-        np.testing.assert_array_equal(runs_made[0][0], _pack(default_hyperparams(d), not fixed_noise))
-        if start is not None:
-            np.testing.assert_array_equal(runs_made[1][0], _pack(start, not fixed_noise))
+        default = default_hyperparams(d)
+        if runs == 1:
+            # The one run starts from the larger-mll start, the default on a tie.
+            warm_wins = mll(start, X, y, noise_diag) > mll(default, X, y, noise_diag)
+            expected = start if warm_wins else default
+            np.testing.assert_array_equal(runs_made[0][0], _pack(expected, not fixed_noise))
+        else:
+            # The default start runs first, and the warm start next.
+            np.testing.assert_array_equal(runs_made[0][0], _pack(default, not fixed_noise))
+            if start is not None:
+                np.testing.assert_array_equal(runs_made[1][0], _pack(start, not fixed_noise))
+
+    @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
+    @pytest.mark.parametrize("warm_wins", [True, False], ids=["warm-above-default", "warm-below-default"])
+    def test_trusted_warm_start_refines_the_better_start_only(self, monkeypatch, warm_wins, fixed_noise):
+        # An interior warm start is scored once next to the default, and
+        # one L-BFGS-B run starts from the larger-mll point, taking that
+        # score as its first evaluation: _mll_core sees no point twice.
+        runs = recorded_runs(monkeypatch)
+        real_core = gpbo.gp._mll_core
+        points = []
+
+        def core(diff2, y, ls, s2, noise, m, with_grad):
+            points.append((ls.tobytes(), s2, np.ndim(noise) == 0 and noise, m))
+            return real_core(diff2, y, ls, s2, noise, m, with_grad)
+
+        rng = np.random.default_rng(22)
+        d = 2
+        X = rng.random((20, d))
+        y = np.sin(5.0 * X[:, 0]) + X[:, 1] + 0.05 * rng.standard_normal(20)
+        y = (y - y.mean()) / y.std()
+        noise_diag = np.full(20, 0.01) if fixed_noise else None
+        if warm_wins:
+            start = fit(X, y, seed=1, noise_diag=noise_diag).theta
+        else:
+            start = GpHyperparams(KernelSpec("matern52", np.array([0.01, 0.02]), 0.05), MeanSpec(1.5), 1e-3)
+        scores = [mll(theta, X, y, noise_diag) for theta in (default_hyperparams(d), start)]
+        assert (scores[1] > scores[0]) == warm_wins
+        runs.clear()
+        monkeypatch.setattr(gpbo.gp, "_mll_core", core)
+        model = fit(X, y, seed=5, noise_diag=noise_diag, start=start)
+        monkeypatch.undo()
+        assert len(runs) == 1
+        winner = start if warm_wins else default_hyperparams(d)
+        np.testing.assert_array_equal(runs[0][0], _pack(winner, not fixed_noise))
+        assert len(points) == len(set(points))
+        assert mll(model.theta, X, y, noise_diag) >= max(scores)
 
     @pytest.mark.parametrize("fixed_noise", [False, True])
     def test_warm_start_never_worse_than_start_or_default(self, fixed_noise):
