@@ -27,10 +27,15 @@ against the ``src/`` of the checkout this script belongs to (or the one
   own cost per evaluation, apart from any objective.
 
 Next to each ``fit`` timing are its numbers of ``_mll_core`` calls
-(``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``), and next to
-each ``maximize_acquisition`` timing its number of ``posterior_grad``
-calls (``posterior_grad_calls``).  The counts are deterministic, so
-unlike the timings they do not move with host drift.
+(``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``).  Next to
+each ``maximize_acquisition`` timing are the refine's batched steps
+(``posterior_grad_calls``), the rows they evaluate (``refine_rows``), and
+how each L-BFGS-B run ended (``refine_ends``), with its evaluations
+(``refine_evals``): ``converged`` (``success``), ``line_search_failed``
+(not ``success`` and ``nit`` below ``maxiter``) or ``maxiter``.  A
+checkout that refines its starts in one joint run reports that run.  The
+counts are deterministic, so unlike the timings they do not move with
+host drift.
 
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
 and scipy versions.
@@ -55,6 +60,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import inspect
 import json
 import os
@@ -72,7 +78,9 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
 ROUNDS = 10
-COUNT_KEYS = ("mll_core_calls", "lbfgs_runs", "posterior_grad_calls", "nfev")
+COUNT_KEYS = ("mll_core_calls", "lbfgs_runs", "posterior_grad_calls", "refine_rows",
+              "refine_ends", "refine_evals", "nfev")
+REFINE_ENDS = ("converged", "line_search_failed", "maxiter")
 
 
 def timed(call, scale: float) -> dict:
@@ -103,6 +111,44 @@ def counted(module, name: str, call) -> int:
     finally:
         setattr(module, name, original)
     return calls
+
+
+@contextlib.contextmanager
+def refine_counts(acqopt):
+    """While open, count the acquisition refine's batched steps, the rows
+    they evaluate, and each L-BFGS-B run's end with its evaluations.
+
+    ``acqopt`` is the ``gpbo.acqopt`` module.  Its refine calls
+    ``minimize_rows`` (one run per start) or, in older checkouts,
+    ``minimize`` (one joint run); either is counted.
+    """
+    counts = {"posterior_grad_calls": 0, "refine_rows": 0,
+              "refine_ends": dict.fromkeys(REFINE_ENDS, 0),
+              "refine_evals": dict.fromkeys(REFINE_ENDS, 0)}
+    runner = "minimize_rows" if hasattr(acqopt, "minimize_rows") else "minimize"
+    originals = {name: getattr(acqopt, name) for name in ("posterior_grad", runner)}
+
+    def posterior_grad(model, Z):
+        counts["posterior_grad_calls"] += 1
+        counts["refine_rows"] += len(Z)
+        return originals["posterior_grad"](model, Z)
+
+    def run(*args, options, **kwargs):
+        results = originals[runner](*args, options=options, **kwargs)
+        for res in results if runner == "minimize_rows" else [results]:
+            end = ("converged" if res.success else
+                   "maxiter" if res.nit >= options["maxiter"] else "line_search_failed")
+            counts["refine_ends"][end] += 1
+            counts["refine_evals"][end] += res.nfev
+        return results
+
+    acqopt.posterior_grad = posterior_grad
+    setattr(acqopt, runner, run)
+    try:
+        yield counts
+    finally:
+        for name, original in originals.items():
+            setattr(acqopt, name, original)
 
 
 def dataset(n: int, d: int, seed: int, fixed_noise: bool):
@@ -176,10 +222,9 @@ def measure(src: Path) -> dict:
         def maximize_once():
             maximize_acquisition(model, incumbent, seed=3)
 
-        out["maximize_ms"][name] = dict(
-            timed(maximize_once, 1e3),
-            posterior_grad_calls=counted(gpbo.acqopt, "posterior_grad", maximize_once),
-        )
+        with refine_counts(gpbo.acqopt) as counts:
+            maximize_once()
+        out["maximize_ms"][name] = dict(timed(maximize_once, 1e3), **counts)
     out["sobol_1024_ms"] = timed(lambda: SobolEngine(5).next(1024), 1e3)
     out["lbfgsb_us_per_eval"] = optimizer_cost(gpbo.gp.minimize)
     out.update(
@@ -253,6 +298,9 @@ def main() -> int:
         low, high = row["ratio_range"]
         print(f"{key:40} {row['parent']:10.3f} {row['change']:10.3f} "
               f"{row['ratio_median']:7.3f}  {low:.3f}-{high:.3f}")
+        for count in COUNT_KEYS:
+            if count in row:
+                print(f"  {count}: parent {row[count]['parent']}, change {row[count]['change']}")
     print(json.dumps(report))
     return 0
 

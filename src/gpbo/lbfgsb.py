@@ -1,13 +1,20 @@
 """Bounded L-BFGS-B: scipy's core driven without its ``minimize`` wrapper.
 
-:func:`minimize` runs scipy's L-BFGS-B routine (``setulb``) in the
-reverse-communication loop that ``scipy.optimize.minimize(fun, x0,
-jac=True, method="L-BFGS-B", ...)`` runs, with the same arguments, so it
-takes the same steps bit for bit.  It leaves out what gpbo never uses:
-unbounded coordinates, finite differences, callbacks and the inverse
-Hessian of the result.  At gpbo's sizes scipy's per-evaluation wrapper
-(its scalar-function memo and the per-iteration result objects) cost
-about as much as the objective itself.
+:func:`minimize_rows` runs scipy's L-BFGS-B routine (``setulb``) from k
+starts at once, in the reverse-communication loop that
+``scipy.optimize.minimize(fun, x0, jac=True, method="L-BFGS-B", ...)``
+runs, with the same arguments.  Each start (a row) has its own ``setulb``
+state: its own memory, line search, tolerance test and memo of the last
+point evaluated.  The rows are stepped in lockstep: each step evaluates
+every row that waits for a value in one call of the objective.  An
+objective whose rows do not depend on each other therefore sends each row
+along the path of a lone scipy run from its start, bit for bit.
+:func:`minimize` is the one-row case.
+
+It leaves out what gpbo never uses: unbounded coordinates, finite
+differences, callbacks and the inverse Hessian of the result.  At gpbo's
+sizes scipy's per-evaluation wrapper (its scalar-function memo and the
+per-iteration result objects) cost about as much as the objective itself.
 """
 
 from __future__ import annotations
@@ -33,15 +40,36 @@ class LbfgsbResult(NamedTuple):
     success: bool
 
 
-def minimize(fun, x0, bounds, options) -> LbfgsbResult:
-    """Minimize ``fun`` over the finite box ``bounds`` from ``x0``.
+class _Row:
+    """One start's ``setulb`` state, its last evaluation and its counts."""
 
-    ``fun(x)`` returns the value and its gradient at a copy of ``x``, and
-    is never called twice in a row at one point.  ``bounds`` is one
-    ``(lo, hi)`` pair per coordinate; ``x0`` is clipped into them and
-    evaluated before the first step.  ``options`` must give ``maxiter``
-    and may give ``gtol`` and ``ftol``.  ``success`` is set exactly when
-    a tolerance stopped the run, not ``maxiter`` or a failed line search.
+    __slots__ = ("x", "f", "g", "task", "args", "seen_x", "seen_f", "seen_g", "nfev", "nit")
+
+    def __init__(self, x, f, g, shared, work):
+        self.x, self.seen_x, self.seen_f, self.seen_g = x, x.tolist(), f, g
+        self.nfev, self.nit = 1, 0
+        self.f = np.array(0.0)
+        self.g, wa, iwa, self.task, lsave, isave, dsave, ln_task = work
+        # setulb's arguments, in its order.  f and g are overwritten in
+        # place with each value and gradient handed to setulb.
+        lo, hi, nbd, factr, gtol = shared
+        self.args = (MAXCOR, x, lo, hi, nbd, self.f, self.g, factr, gtol, wa, iwa,
+                     self.task, lsave, isave, dsave, MAXLS, ln_task)
+
+
+def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
+    """Minimize each row of ``fun`` over the finite box ``bounds``, from
+    the matching row of ``x0``.
+
+    ``fun(X)`` takes a (k, n) array of points, one per row still running,
+    and returns their values (k,) and gradients (k, n); row i of the
+    answer must depend on row i of ``X`` alone.  A row is never handed
+    the point it was last evaluated at.  ``bounds`` is one ``(lo, hi)``
+    pair per coordinate, shared by every row; ``x0`` is clipped into them
+    and evaluated in one call before the first step.  ``options`` must
+    give ``maxiter`` and may give ``gtol`` and ``ftol``, which apply to
+    each row alone.  A row's ``success`` is set exactly when a tolerance
+    stopped it, not ``maxiter`` or a failed line search.
     """
     # scipy's maxfun (15000) is left out: an iteration evaluates about
     # 2 * MAXLS points at most (a line search, and one more after a failed
@@ -50,31 +78,61 @@ def minimize(fun, x0, bounds, options) -> LbfgsbResult:
     gtol = options.get("gtol", GTOL)
     factr = options.get("ftol", FTOL) / np.finfo(float).eps
     lo, hi = np.array(bounds, dtype=float).T.copy()
-    x = np.clip(np.asarray(x0, dtype=float).ravel(), lo, hi)
-    n = x.size
-    seen_x = x.copy()
-    seen_f, seen_g = fun(x.copy())
-    nfev, nit = 1, 0
-    f, g = np.array(0.0), np.zeros(n)
-    nbd = np.full(n, 2, np.int32)
-    wa = np.zeros(2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)
-    iwa = np.zeros(3 * n, np.int32)
-    task, ln_task = np.zeros(2, np.int32), np.zeros(2, np.int32)
-    lsave, isave, dsave = np.zeros(4, np.int32), np.zeros(44, np.int32), np.zeros(29)
-    while True:
-        setulb(MAXCOR, x, lo, hi, nbd, f, g, factr, gtol, wa, iwa, task,
-               lsave, isave, dsave, MAXLS, ln_task)
-        if task[0] == 3:  # wants f and g at x
-            if not np.array_equal(x, seen_x):
-                seen_x = x.copy()
-                seen_f, seen_g = fun(x.copy())
-                nfev += 1
-            # A fresh copy each time, as scipy passes: setulb may write g.
-            f, g = seen_f, np.array(seen_g, dtype=np.float64)
-        elif task[0] == 1:  # a new iterate
-            nit += 1
-            if nit >= maxiter:
-                task[0], task[1] = 5, 504
-        else:
+    X = np.clip(np.array(x0, dtype=float, ndmin=2), lo, hi)
+    k, n = X.shape
+    shared = lo, hi, np.full(n, 2, np.int32), factr, gtol
+    # Each row's setulb work arrays are one row of these.
+    work = zip(
+        np.zeros((k, n)), np.zeros((k, 2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)),
+        np.zeros((k, 3 * n), np.int32), np.zeros((k, 2), np.int32), np.zeros((k, 4), np.int32),
+        np.zeros((k, 44), np.int32), np.zeros((k, 29)), np.zeros((k, 2), np.int32),
+    )
+    F, G = fun(X.copy())
+    rows = [_Row(*row, shared, next(work)) for row in zip(X, F, G)]
+    running = rows
+    while running:
+        waiting = []
+        for row in running:
+            task, args = row.task, row.args
+            while True:
+                setulb(*args)
+                state = task[0]
+                if state == 3:  # wants f and g at x
+                    # A list compares as scipy's np.array_equal memo does.
+                    if row.x.tolist() != row.seen_x:
+                        waiting.append(row)
+                        break
+                    # setulb may write g, so it gets a fresh copy each time.
+                    row.f[()] = row.seen_f
+                    row.g[:] = row.seen_g
+                elif state == 1:  # a new iterate
+                    row.nit += 1
+                    if row.nit >= maxiter:
+                        task[0], task[1] = 5, 504
+                else:
+                    break
+        if not waiting:
             break
-    return LbfgsbResult(x, f, nfev, nit, bool(task[0] == 4))
+        F, G = fun(np.array([row.x for row in waiting]))
+        for row, f, g in zip(waiting, F, G):
+            row.seen_x, row.seen_f, row.seen_g = row.x.tolist(), f, g
+            row.f[()] = f
+            row.g[:] = g
+            row.nfev += 1
+        running = waiting
+    return [LbfgsbResult(row.x, row.seen_f, row.nfev, row.nit, bool(row.task[0] == 4))
+            for row in rows]
+
+
+def minimize(fun, x0, bounds, options) -> LbfgsbResult:
+    """Minimize ``fun`` over the finite box ``bounds`` from ``x0``: the
+    one-row case of :func:`minimize_rows`.
+
+    ``fun(x)`` returns the value and its gradient at a copy of ``x``, and
+    is never called twice in a row at one point.
+    """
+    def one_row(X):
+        f, g = fun(X[0])
+        return (f,), (g,)
+
+    return minimize_rows(one_row, x0, bounds, options)[0]

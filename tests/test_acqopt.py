@@ -123,16 +123,16 @@ class TestMaximizeAcquisition:
         assert value == ei(posterior(model, x[None]), incumbent)[0] > 0.0
 
     def test_refine_tolerance_keeps_ei_of_default_tolerance(self, monkeypatch):
-        # The refine stops at a relative reduction of 1e-7 in the summed
-        # log-EI.  Its answer must be as good as a run to scipy's default
-        # ftol (about 2.2e-9): within 1e-3 relative EI on random models.
-        real_minimize = gpbo.acqopt.minimize
+        # Each start's run stops at a relative reduction of 1e-5 in its
+        # log-EI.  The answer must be as good as runs to scipy's default
+        # ftol (about 2.2e-9): within 1e-4 relative EI on random models.
+        real_rows = gpbo.acqopt.minimize_rows
         reference_runs = []
 
         def default_ftol(*args, options, **kwargs):
             options.pop("ftol", None)
             reference_runs.append(options)
-            return real_minimize(*args, options=options, **kwargs)
+            return real_rows(*args, options=options, **kwargs)
 
         rng = np.random.default_rng(23)
         cases = [(int(rng.choice([2, 5, 6])), int(rng.integers(10, 61))) for _ in range(20)]
@@ -141,7 +141,7 @@ class TestMaximizeAcquisition:
             incumbent = incumbent_value(model)
             _, value = maximize_acquisition(model, incumbent, seed)
             with monkeypatch.context() as patch:
-                patch.setattr(gpbo.acqopt, "minimize", default_ftol)
+                patch.setattr(gpbo.acqopt, "minimize_rows", default_ftol)
                 _, reference = maximize_acquisition(model, incumbent, seed)
-            assert abs(value - reference) <= 1e-3 * reference
+            assert abs(value - reference) <= 1e-4 * reference
         assert len(reference_runs) == len(cases)

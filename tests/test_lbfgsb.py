@@ -1,11 +1,13 @@
 """gpbo.lbfgsb against scipy.optimize.minimize, bit for bit.
 
 gpbo.lbfgsb drives scipy's L-BFGS-B core without the ``minimize`` front
-end, through a private scipy symbol.  These tests run every optimizer
-call of the fit and of the acquisition refine through both paths and
-require the same trajectory: the same points handed to the objective, in
-the same order, and bitwise the same result.  A scipy whose core or
-defaults differ fails here rather than silently changing runs.
+end, through a private scipy symbol, and steps several starts in
+lockstep.  These tests run every optimizer call of the fit and of the
+acquisition refine through both paths and require the same trajectory:
+each start hands the objective the same points, in the same order, as a
+lone scipy run from that start, and gets bitwise the same result.  A
+scipy whose core or defaults differ fails here rather than silently
+changing runs.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ import gpbo.acqopt
 import gpbo.gp
 from gpbo import fit, incumbent_value, maximize_acquisition
 from gpbo.gp import LENGTHSCALE_BOUNDS
-from gpbo.lbfgsb import minimize
+from gpbo.lbfgsb import minimize, minimize_rows
 
 from test_acqopt import toy_model
 from test_gp import random_theta
@@ -59,6 +61,63 @@ def twin_runs(monkeypatch, module):
     return results
 
 
+def lone_runs(fun, x0, bounds, options):
+    """scipy's run of each row of ``fun`` alone, from that row of ``x0``,
+    with the points it evaluated."""
+    runs = []
+    for start in np.array(x0, dtype=float, ndmin=2):
+        points = []
+
+        def one_row(x, points=points):
+            points.append(x.copy())
+            F, G = fun(x[None])
+            return F[0], G[0]
+
+        ref = scipy.optimize.minimize(
+            one_row, start, jac=True, method="L-BFGS-B", bounds=bounds, options=dict(options),
+        )
+        runs.append((ref, points))
+    return runs
+
+
+def assert_same_rows(fun, x0, bounds, options):
+    """Run the rows of ``fun`` in lockstep through gpbo.lbfgsb and each
+    alone through scipy; every row must agree with its lone run."""
+    batches = []
+
+    def recorded_rows(X):
+        batches.append(X.copy())
+        return fun(X)
+
+    results = minimize_rows(recorded_rows, x0, bounds=bounds, options=dict(options))
+    lone = lone_runs(fun, x0, bounds, options)
+    assert len(results) == len(lone)
+    for res, (ref, points) in zip(results, lone):
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert res.fun == ref.fun
+        assert (res.nfev, res.nit, res.success) == (ref.nfev, ref.nit, ref.success)
+        assert len(points) == res.nfev
+        assert not any(np.array_equal(a, b) for a, b in zip(points, points[1:]))
+    # Step s evaluates, in one call, point s of every row that has one.
+    assert len(batches) == max(res.nfev for res in results)
+    for s, batch in enumerate(batches):
+        due = [points[s] for _, points in lone if len(points) > s]
+        assert batch.tobytes() == np.array(due).tobytes()
+    return results
+
+
+def twin_rows(monkeypatch, module):
+    """Make ``module.minimize_rows`` check each row against scipy; list the results."""
+    results = []
+
+    def both(fun, x0, bounds, options):
+        results.append(assert_same_rows(fun, x0, bounds, options))
+        return results[-1]
+
+    monkeypatch.setattr(module, "minimize_rows", both)
+    return results
+
+
 @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
 def test_fit_runs_match_scipy(monkeypatch, d, fixed_noise):
@@ -84,38 +143,42 @@ def test_fit_runs_match_scipy(monkeypatch, d, fixed_noise):
 
 @pytest.mark.parametrize("d", [2, 5, 6])
 def test_refine_runs_match_scipy(monkeypatch, d):
-    results = twin_runs(monkeypatch, gpbo.acqopt)
+    results = twin_rows(monkeypatch, gpbo.acqopt)
     for seed in range(6):
         model = toy_model(seed, n=4 + 4 * d, d=d)
         maximize_acquisition(model, incumbent_value(model), seed)
     assert len(results) == 6
-    assert sum(res.nit for res in results) > 5 * len(results)
+    rows = [res for run in results for res in run]
+    assert len(rows) > 6 * 4
+    assert sum(res.nit for res in rows) > 4 * len(rows)
 
 
 @pytest.mark.parametrize("d", [2, 5, 6])
 def test_one_posterior_grad_call_per_refine_evaluation(monkeypatch, d):
-    # The refine twin of the fit's one _mll_core call per evaluation.
-    real_grad, real_minimize = gpbo.acqopt.posterior_grad, gpbo.acqopt.minimize
-    calls, nfevs = [], []
+    # The refine twin of the fit's one _mll_core call per evaluation: one
+    # posterior_grad call per lockstep step, on the rows that wait for it.
+    real_grad, real_rows = gpbo.acqopt.posterior_grad, gpbo.acqopt.minimize_rows
+    calls, runs = [], []
 
-    def counted_grad(*args):
-        calls.append(args)
-        return real_grad(*args)
+    def counted_grad(model, Z):
+        calls.append(len(Z))
+        return real_grad(model, Z)
 
-    def counted_minimize(*args, **kwargs):
-        res = real_minimize(*args, **kwargs)
-        nfevs.append(res.nfev)
-        return res
+    def counted_rows(*args, **kwargs):
+        runs.append(real_rows(*args, **kwargs))
+        return runs[-1]
 
     monkeypatch.setattr(gpbo.acqopt, "posterior_grad", counted_grad)
-    monkeypatch.setattr(gpbo.acqopt, "minimize", counted_minimize)
+    monkeypatch.setattr(gpbo.acqopt, "minimize_rows", counted_rows)
     for seed in range(4):
         calls.clear()
-        nfevs.clear()
+        runs.clear()
         model = toy_model(seed, n=3 * d, d=d)
         maximize_acquisition(model, incumbent_value(model), seed)
-        assert len(nfevs) == 1
-        assert len(calls) == nfevs[0]
+        assert len(runs) == 1
+        nfevs = [res.nfev for res in runs[0]]
+        assert calls == [sum(n > s for n in nfevs) for s in range(max(nfevs))]
+        assert sum(calls) == sum(nfevs)
 
 
 def rosenbrock(x):
@@ -127,15 +190,42 @@ def rosenbrock(x):
     return value, grad
 
 
-def test_maxiter_stops_the_run():
-    res = assert_same_run(rosenbrock, np.full(4, -1.5), [(-2.0, 2.0)] * 4, {"maxiter": 2})
-    assert res.nit == 2 and not res.success
+def rosenbrock_rows(X):
+    F, G = zip(*map(rosenbrock, X))
+    return np.array(F), np.array(G)
 
 
-def test_start_outside_the_box_is_clipped():
+@pytest.mark.parametrize("starts", [
+    [[-1.5, -1.5, -1.5, -1.5]],
+    # The second row runs on after the first stops; the third starts at
+    # the minimum and converges at nit 0.
+    [[-1.5, -1.5, -1.5, -1.5], [0.5, 0.25, 0.0625, 0.0], [1.0, 1.0, 1.0, 1.0]],
+], ids=["one-row", "three-rows"])
+def test_maxiter_stops_the_run(starts):
+    bounds, options = [(-2.0, 2.0)] * 4, {"maxiter": 2}
+    results = assert_same_rows(rosenbrock_rows, starts, bounds, options)
+    assert results[0].nit == 2 and not results[0].success
+    if len(starts) == 1:
+        one = assert_same_run(rosenbrock, np.array(starts[0]), bounds, options)
+        assert one.x.tobytes() == results[0].x.tobytes() and one[1:] == results[0][1:]
+    else:
+        assert results[1].nfev > results[0].nfev and results[1].nit == 2
+        assert (results[2].nit, results[2].nfev, results[2].success) == (0, 1, True)
+
+
+@pytest.mark.parametrize("starts", [
+    [[-3.0, 0.5, 4.0]],
+    # Only the first row is outside the box; the second starts at the
+    # minimum and converges at nit 0 while the others run on.
+    [[-3.0, 0.5, 4.0], [1.0, 1.0, 1.0], [0.5, 0.5, 0.5]],
+], ids=["one-row", "three-rows"])
+def test_start_outside_the_box_is_clipped(starts):
     points = []
-    x0 = np.array([-3.0, 0.5, 4.0])
     bounds = [(-2.0, 2.0), (0.0, 1.0), (-1.0, 3.0)]
-    res = assert_same_run(recorded(rosenbrock, points), x0, bounds, {"maxiter": 200})
-    assert points[0].tolist() == [-2.0, 0.5, 3.0]
-    assert res.success
+    results = assert_same_rows(recorded(rosenbrock_rows, points), starts, bounds,
+                               {"maxiter": 200})
+    assert points[0].tolist() == [[-2.0, 0.5, 3.0], *starts[1:]]
+    assert all(res.success for res in results)
+    if len(starts) > 1:
+        assert (results[1].nit, results[1].nfev) == (0, 1)
+        assert min(results[0].nfev, results[2].nfev) > 1
