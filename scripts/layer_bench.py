@@ -15,10 +15,15 @@ against the ``src/`` of the checkout this script belongs to (or the one
   times one L-BFGS-B run from the better of the two;
 * ``fit_cold_ms``: one ``fit`` with no warm start, which always runs the
   default start and the Sobol starts, on the same three datasets;
+* ``mll_core_ms``, beside each ``fit_ms`` and ``fit_cold_ms`` case: the
+  time one such ``fit`` spends inside ``gpbo.gp._mll_core``, timed in a
+  separate pass, so the rest of ``fit_ms`` is the fit's own work;
 * ``posterior_256_us``: one 256-point ``posterior`` on the fitted
   models, the size of one chunk of the acquisition's Sobol scatter;
-* ``refine_eval_us``: one evaluation of the acquisition refine's
-  objective, ``posterior_grad`` and ``log_ei`` on 8 points;
+* ``refine_eval_us``: one evaluation of the objective that the
+  acquisition refine hands ``gpbo.lbfgsb.minimize_rows`` (-log EI and its
+  gradient in x) on 8 points, and beside it (``one_row``) on 1 point:
+  most lockstep steps evaluate only a few of the 8 starts;
 * ``maximize_ms``: one ``maximize_acquisition`` on the fitted models;
 * ``sobol_1024_ms``: one 1024-point draw from a fresh 5-dimensional engine;
 * ``lbfgsb_us_per_eval``: one ``gpbo.gp.minimize`` run on a fixed 6-d box
@@ -29,7 +34,8 @@ against the ``src/`` of the checkout this script belongs to (or the one
 Next to each ``fit`` timing are its numbers of ``_mll_core`` calls
 (``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``).  Next to
 each ``maximize_acquisition`` timing are the refine's batched steps
-(``posterior_grad_calls``), the rows they evaluate (``refine_rows``), and
+(``refine_steps``: calls of ``posterior_score``, or of ``posterior_grad``
+in older checkouts), the rows they evaluate (``refine_rows``), and
 how each L-BFGS-B run ended (``refine_ends``), with its evaluations
 (``refine_evals``): ``converged`` (``success``), ``line_search_failed``
 (not ``success`` and ``nit`` below ``maxiter``) or ``maxiter``.  A
@@ -78,9 +84,14 @@ import numpy as np  # noqa: E402
 SRC = Path(__file__).resolve().parent.parent / "src"
 REPEATS = 51
 ROUNDS = 10
-COUNT_KEYS = ("mll_core_calls", "lbfgs_runs", "posterior_grad_calls", "refine_rows",
+COUNT_KEYS = ("mll_core_calls", "lbfgs_runs", "refine_steps", "refine_rows",
               "refine_ends", "refine_evals", "nfev")
 REFINE_ENDS = ("converged", "line_search_failed", "maxiter")
+
+
+def quartiles(times) -> dict:
+    q1, median, q3 = np.percentile(times, [25, 50, 75])
+    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
 
 
 def timed(call, scale: float) -> dict:
@@ -91,8 +102,34 @@ def timed(call, scale: float) -> dict:
         t0 = time.perf_counter()
         call()
         times.append((time.perf_counter() - t0) * scale)
-    q1, median, q3 = np.percentile(times, [25, 50, 75])
-    return {"median": round(median, 3), "q1": round(q1, 3), "q3": round(q3, 3)}
+    return quartiles(times)
+
+
+def timed_inside(module, name: str, call, scale: float) -> dict:
+    """Median and quartiles over REPEATS calls of ``call`` of the time spent
+    inside ``module.name``, in units of 1/scale seconds."""
+    original = getattr(module, name)
+    spent = 0.0
+
+    def wrapper(*args, **kwargs):
+        nonlocal spent
+        t0 = time.perf_counter()
+        try:
+            return original(*args, **kwargs)
+        finally:
+            spent += time.perf_counter() - t0
+
+    setattr(module, name, wrapper)
+    try:
+        call()
+        times = []
+        for _ in range(REPEATS):
+            spent = 0.0
+            call()
+            times.append(spent * scale)
+    finally:
+        setattr(module, name, original)
+    return quartiles(times)
 
 
 def counted(module, name: str, call) -> int:
@@ -118,20 +155,22 @@ def refine_counts(acqopt):
     """While open, count the acquisition refine's batched steps, the rows
     they evaluate, and each L-BFGS-B run's end with its evaluations.
 
-    ``acqopt`` is the ``gpbo.acqopt`` module.  Its refine calls
-    ``minimize_rows`` (one run per start) or, in older checkouts,
-    ``minimize`` (one joint run); either is counted.
+    ``acqopt`` is the ``gpbo.acqopt`` module.  Each step calls
+    ``posterior_score`` or, in older checkouts, ``posterior_grad``.  The
+    refine calls ``minimize_rows`` (one run per start) or, in older
+    checkouts, ``minimize`` (one joint run); either is counted.
     """
-    counts = {"posterior_grad_calls": 0, "refine_rows": 0,
+    counts = {"refine_steps": 0, "refine_rows": 0,
               "refine_ends": dict.fromkeys(REFINE_ENDS, 0),
               "refine_evals": dict.fromkeys(REFINE_ENDS, 0)}
+    step = "posterior_score" if hasattr(acqopt, "posterior_score") else "posterior_grad"
     runner = "minimize_rows" if hasattr(acqopt, "minimize_rows") else "minimize"
-    originals = {name: getattr(acqopt, name) for name in ("posterior_grad", runner)}
+    originals = {name: getattr(acqopt, name) for name in (step, runner)}
 
-    def posterior_grad(model, Z):
-        counts["posterior_grad_calls"] += 1
+    def counted_step(model, Z, *args):
+        counts["refine_steps"] += 1
         counts["refine_rows"] += len(Z)
-        return originals["posterior_grad"](model, Z)
+        return originals[step](model, Z, *args)
 
     def run(*args, options, **kwargs):
         results = originals[runner](*args, options=options, **kwargs)
@@ -142,13 +181,30 @@ def refine_counts(acqopt):
             counts["refine_evals"][end] += res.nfev
         return results
 
-    acqopt.posterior_grad = posterior_grad
+    setattr(acqopt, step, counted_step)
     setattr(acqopt, runner, run)
     try:
         yield counts
     finally:
         for name, original in originals.items():
             setattr(acqopt, name, original)
+
+
+def refine_objective(acqopt, call):
+    """The objective that one ``call`` of ``maximize_acquisition`` hands
+    ``acqopt.minimize_rows``."""
+    original, objectives = acqopt.minimize_rows, []
+
+    def capture(fun, *args, **kwargs):
+        objectives.append(fun)
+        return original(fun, *args, **kwargs)
+
+    acqopt.minimize_rows = capture
+    try:
+        call()
+    finally:
+        acqopt.minimize_rows = original
+    return objectives[0]
 
 
 def dataset(n: int, d: int, seed: int, fixed_noise: bool):
@@ -188,8 +244,7 @@ def measure(src: Path) -> dict:
     import gpbo.acqopt
     import gpbo.gp
     from gpbo import SobolEngine, fit, incumbent_value, maximize_acquisition
-    from gpbo.acquisition import log_ei
-    from gpbo.gp import mll_grad, posterior, posterior_grad
+    from gpbo.gp import mll_grad, posterior
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     starts = {"restarts": 3} if "restarts" in inspect.signature(fit).parameters else {}
@@ -210,17 +265,20 @@ def measure(src: Path) -> dict:
 
             out[layer][name] = dict(
                 timed(fit_once, 1e3),
+                mll_core_ms=timed_inside(gpbo.gp, "_mll_core", fit_once, 1e3),
                 mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once),
                 lbfgs_runs=counted(gpbo.gp, "minimize", fit_once),
             )
         queries = np.random.default_rng(4).random((256, d))
         out["posterior_256_us"][name] = timed(lambda: posterior(model, queries), 1e6)
         incumbent = incumbent_value(model)
-        out["refine_eval_us"][name] = timed(
-            lambda: log_ei(posterior_grad(model, queries[:8])[0], incumbent), 1e6)
 
         def maximize_once():
             maximize_acquisition(model, incumbent, seed=3)
+
+        objective = refine_objective(gpbo.acqopt, maximize_once)
+        out["refine_eval_us"][name] = dict(timed(lambda: objective(queries[:8]), 1e6),
+                                           one_row=timed(lambda: objective(queries[:1]), 1e6))
 
         with refine_counts(gpbo.acqopt) as counts:
             maximize_once()
@@ -238,7 +296,9 @@ def measure(src: Path) -> dict:
 
 
 def layers(result: dict) -> dict:
-    """``layer.case`` -> the result's entry for it, timings and counts."""
+    """``layer.case`` -> the result's entry for it, timings and counts; a
+    timing inside an entry (``mll_core_ms``, ``one_row``) follows it as
+    ``layer.case.name``."""
     flat = {}
     for layer, value in result.items():
         if isinstance(value, dict) and "median" in value:
@@ -246,6 +306,9 @@ def layers(result: dict) -> dict:
         elif isinstance(value, dict):
             for case, entry in value.items():
                 flat[f"{layer}.{case}"] = entry
+                for name, inner in entry.items():
+                    if isinstance(inner, dict) and "median" in inner:
+                        flat[f"{layer}.{case}.{name}"] = inner
     return flat
 
 
@@ -262,7 +325,7 @@ def compare(parent: Path) -> dict:
             )
             runs[side].append(layers(json.loads(proc.stdout.splitlines()[-1])))
     table = {}
-    for key in runs["change"][0]:
+    for key in [key for key in runs["change"][0] if key in runs["parent"][0]]:
         change = [run[key]["median"] for run in runs["change"]]
         base = [run[key]["median"] for run in runs["parent"]]
         ratios = [c / p for c, p in zip(change, base)]

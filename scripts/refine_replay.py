@@ -14,8 +14,9 @@ is the best EI of those points and of the scatter; the shortfall of the
 checkout's answer is (reference - answer) / reference, relative EI.
 
 Per workload it prints the acquisitions replayed; the shortfalls beyond
-1e-4 and beyond 1e-2, and the worst one; the refine's ``posterior_grad``
-calls and the rows they evaluated during the recorded runs; and the share
+1e-4 and beyond 1e-2, and the worst one; the refine's batched steps
+(``posterior_score`` calls, or ``posterior_grad`` calls in older
+checkouts) and the rows they evaluated during the recorded runs; and the share
 of refine evaluations spent in L-BFGS-B runs that ended with a failed
 line search (ABNORMAL: not ``success`` and ``nit`` below ``maxiter``),
 counted as ``scripts/layer_bench.py`` counts them.  The last line is the
@@ -32,6 +33,7 @@ Usage:
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import tempfile
@@ -91,9 +93,14 @@ def reference(model, incumbent: float, seed: int) -> float:
     order = np.argsort(-values, kind="stable")
     best = float(values[order[0]])
 
+    # log_ei takes the means and the variances, or in older checkouts the
+    # summary that holds them.
+    takes_summary = len(inspect.signature(log_ei).parameters) == 2
+
     def objective(x):
         summary, dmean, dvar = posterior_grad(model, x[None])
-        log_values, d_mu, d_var = log_ei(summary, incumbent)
+        log_values, d_mu, d_var = (log_ei(summary, incumbent) if takes_summary else
+                                   log_ei(summary.means, summary.variances, incumbent))
         return -float(log_values[0]), -(d_mu[0] * dmean[0] + d_var[0] * dvar[0])
 
     for idx in order[:REFINE_COUNT]:
@@ -143,8 +150,8 @@ def main() -> int:
             report["workloads"][name] = row
             print(f"{name}: {row['acquisitions']} acquisitions; shortfall beyond 1e-4 in "
                   f"{row['beyond_0.0001']}, beyond 1e-2 in {row['beyond_0.01']}, worst "
-                  f"{row['worst_shortfall']:.3g}; {row['posterior_grad_calls']} posterior_grad "
-                  f"calls on {row['refine_rows']} rows; ABNORMAL share of refine evaluations "
+                  f"{row['worst_shortfall']:.3g}; {row['refine_steps']} refine steps "
+                  f"on {row['refine_rows']} rows; ABNORMAL share of refine evaluations "
                   f"{row['abnormal_share']:.1%}", flush=True)
     print(json.dumps(report))
     return 0

@@ -4,9 +4,10 @@ Deterministic multi-start search in the raw-samples-then-restarts pattern
 of BoTorch's ``optimize_acqf``: score a Sobol scatter of 1024 candidates
 by expected improvement, then refine the best 8 (those with EI > 0), each
 by its own bounded L-BFGS-B run on its log-EI, using the analytic gradient
-of the posterior (:func:`gpbo.gp.posterior_grad`).  The runs are stepped
-in lockstep (:func:`gpbo.lbfgsb.minimize_rows`): each step scores every
-start that waits for a value in one posterior call.  The posterior is
+of the posterior.  The runs are stepped in lockstep
+(:func:`gpbo.lbfgsb.minimize_rows`): each step scores every start that
+waits for a value in one :func:`gpbo.gp.posterior_score` call, which
+returns -log EI and its gradient in x in one pass.  The posterior is
 batch-invariant, so each start takes the path of its lone run.  log-EI
 (Ament et al. 2023) stays finite and informative where EI is flat or
 underflows to 0.  A run stops after 200 iterations or once a step raises
@@ -27,7 +28,7 @@ import numpy as np
 
 from .acquisition import ei, log_ei
 from .errors import NumericalError
-from .gp import GpModel, posterior, posterior_grad
+from .gp import GpModel, posterior, posterior_score
 from .lbfgsb import minimize_rows
 from .sobol import SobolEngine
 
@@ -62,10 +63,12 @@ def maximize_acquisition(
     if not top:
         return best_x, float(best_v)
 
+    def neg_log_ei(means, variances):
+        values, d_mu, d_var = log_ei(means, variances, incumbent)
+        return -values, -d_mu, -d_var
+
     def objective(Z):
-        summary, dmean, dvar = posterior_grad(model, Z)
-        log_values, d_mu, d_var = log_ei(summary, incumbent)
-        return -log_values, -(d_mu[:, None] * dmean + d_var[:, None] * dvar)
+        return posterior_score(model, Z, neg_log_ei)
 
     runs = minimize_rows(
         objective, candidates[top], bounds=[(0.0, 1.0)] * d,

@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -159,9 +159,9 @@ class PosteriorSummary:
     variances: np.ndarray
 
 
-def _kernel_from_r2(s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _kernel_from_r2(s2: float, r2: np.ndarray, with_radial: bool = True):
     """Matern-5/2 k on scaled squared distances r2, and its radial factor
-    -2 dk/d(r2).
+    -2 dk/d(r2) (None unless ``with_radial``).
 
     Overwrites r2, which becomes k.  One sqrt and one exp: with
     a = 1 + sqrt5 r and e = s2 exp(-sqrt5 r), k = (5/3 r2 + a) e and the
@@ -176,6 +176,8 @@ def _kernel_from_r2(s2: float, r2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     r2 *= 5.0 / 3.0
     r2 += a
     r2 *= e
+    if not with_radial:
+        return r2, None
     a *= e
     a *= 5.0 / 3.0
     return r2, a
@@ -240,8 +242,14 @@ class _MllParts(NamedTuple):
 
 
 def _sq_diffs(X: np.ndarray) -> np.ndarray:
-    """Squared input differences per dimension, shape (d, N, N)."""
-    return np.ascontiguousarray(((X[:, None, :] - X[None, :, :]) ** 2).transpose(2, 0, 1))
+    """Squared input differences per dimension, shape (d, N, N), built one
+    dimension at a time."""
+    n, d = X.shape
+    out = np.empty((d, n, n))
+    for j, plane in enumerate(out):
+        np.subtract.outer(X[:, j], X[:, j], out=plane)
+        np.multiply(plane, plane, out=plane)
+    return out
 
 
 def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
@@ -390,13 +398,43 @@ def _unpack(z: np.ndarray, d: int, with_noise: bool) -> GpHyperparams:
     return GpHyperparams(KernelSpec(MATERN52, ls, s2), MeanSpec(m), noise)
 
 
-def _on_edge(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> bool:
-    """Whether a log-lengthscale or the log signal variance of z lies on an
-    edge of [lo, hi], within 1e-9 relative.  The mean on its bound and the
-    noise on its floor do not count."""
+class _Box(NamedTuple):
+    """The box L-BFGS-B searches for one (d, noise mode), packed like any
+    theta, with the default start clipped into it.  ``edges`` and ``tol``
+    are what :func:`_on_edge` compares with."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    bounds: np.ndarray
+    default: np.ndarray
+    edges: np.ndarray
+    tol: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _box(d: int, with_noise: bool) -> _Box:
+    """The fit's box and default start, packed once per (d, noise mode)
+    and read-only."""
+    lo, hi = (
+        _pack(GpHyperparams(KernelSpec(MATERN52, np.full(d, ls), s2), MeanSpec(m), v), with_noise)
+        for ls, s2, v, m in zip(
+            LENGTHSCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS, MEAN_BOUNDS
+        )
+    )
+    default = np.clip(_pack(default_hyperparams(d), with_noise), lo, hi)
     edges = np.concatenate([lo[: d + 1], hi[: d + 1]])
-    gaps = np.abs(np.tile(z[: d + 1], 2) - edges)
-    return bool(np.any(gaps <= 1e-9 * np.maximum(1.0, np.abs(edges))))
+    box = _Box(lo, hi, np.column_stack([lo, hi]), default, edges,
+               1e-9 * np.maximum(1.0, np.abs(edges)))
+    for array in box:
+        array.setflags(write=False)
+    return box
+
+
+def _on_edge(z: np.ndarray, box: _Box, d: int) -> bool:
+    """Whether a log-lengthscale or the log signal variance of z lies on an
+    edge of the box, within 1e-9 relative.  The mean on its bound and the
+    noise on its floor do not count."""
+    return bool(np.any(np.abs(np.tile(z[: d + 1], 2) - box.edges) <= box.tol))
 
 
 def _start_points(lo, hi, seed: int, given: list, cold: int) -> list[np.ndarray]:
@@ -456,15 +494,9 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     if n < 1:
         raise UsageError("fit requires at least one observation")
     with_noise = nd is None
-    # The box L-BFGS-B searches: its two corners, packed like any theta.
-    lo, hi = (
-        _pack(GpHyperparams(KernelSpec(MATERN52, np.full(d, ls), s2), MeanSpec(m), v), with_noise)
-        for ls, s2, v, m in zip(
-            LENGTHSCALE_BOUNDS, SIGNAL_VARIANCE_BOUNDS, NOISE_VARIANCE_BOUNDS, MEAN_BOUNDS
-        )
-    )
-    default = default_hyperparams(d)
-    given = [np.clip(_pack(default, with_noise), lo, hi)]
+    box = _box(d, with_noise)
+    lo, hi = box.lo, box.hi
+    given = [box.default]
     cold = FIT_RESTARTS - 1
     if start is not None:
         if start.kernel.lengthscales.shape != (d,):
@@ -473,9 +505,11 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
                 f"inputs have {d} columns"
             )
         if with_noise and start.noise_variance == 0.0:
-            start = GpHyperparams(start.kernel, start.mean, default.noise_variance)
+            start = GpHyperparams(
+                start.kernel, start.mean, default_hyperparams(d).noise_variance
+            )
         given.append(np.clip(_pack(start, with_noise), lo, hi))
-        if not _on_edge(given[-1], lo, hi, d):
+        if not _on_edge(given[-1], box, d):
             cold = 0
     diff2 = _sq_diffs(X)
     failed = (1e25, np.zeros(len(lo)))
@@ -515,7 +549,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             minimize(
                 lambda z: scores.pop() if scores else objective(z),
                 z0,
-                bounds=list(zip(lo, hi)),
+                bounds=box.bounds,
                 options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},
             )
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -527,23 +561,35 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     return _assemble(X, _unpack(best_z, d, with_noise), best)
 
 
-def _posterior_parts(model: GpModel, Xq, with_grad: bool):
-    """The one posterior path: the summary, then d mu/dx and d sigma2/dx
-    (None unless ``with_grad``), for posterior and posterior_grad."""
+def _queries(model: GpModel, Xq) -> np.ndarray:
+    """Xq as a (q, d) float array whose d is the model's."""
     Xq = np.atleast_2d(np.asarray(Xq, dtype=float))
+    d = model.theta.kernel.lengthscales.shape[0]
+    if Xq.shape[1] != d:
+        raise SpaceError(f"query points have {Xq.shape[1]} columns, model expects {d}")
+    return Xq
+
+
+def _posterior_parts(model: GpModel, Xq: np.ndarray, score=None):
+    """The one posterior path, behind posterior, posterior_grad and
+    posterior_score, at (q, d) float query points Xq.
+
+    Without ``score``, returns the means and the variances (clamped at
+    zero).  With it, ``score(means, variances)`` returns values and their
+    partials a in the mean and b in the variance, each of shape (q,) or,
+    for k functions of the posterior, (q, k); this returns the values and
+    their gradients in x, a d mu/dx + b d sigma2/dx, of shape (q, d) or
+    (q, d, k).
+    """
     spec = model.theta.kernel
-    if Xq.shape[1] != spec.lengthscales.shape[0]:
-        raise SpaceError(
-            f"query points have {Xq.shape[1]} columns, model expects "
-            f"{spec.lengthscales.shape[0]}"
-        )
     m = model.theta.mean.constant
     q = Xq.shape[0]
     if model.n == 0:
-        prior = PosteriorSummary(means=np.full(q, m), variances=np.full(q, spec.signal_variance))
-        if not with_grad:
-            return prior, None, None
-        return prior, np.zeros(Xq.shape), np.zeros(Xq.shape)
+        means, variances = np.full(q, m), np.full(q, spec.signal_variance)
+        if score is None:
+            return means, variances
+        values, a, _ = score(means, variances)
+        return values, np.zeros(Xq.shape + np.shape(a)[1:])
     # Explicit differences of scaled inputs (not the a^2+b^2-2ab trick), so
     # that coincident points give exactly zero, laid out as one contiguous
     # (q, N) plane per dimension.  Queries sit on rows, and every row is
@@ -552,25 +598,32 @@ def _posterior_parts(model: GpModel, Xq, with_grad: bool):
     # a row differently depending on how many rows share the call.
     Xt, inv_ls = model._query_invariants
     diff = (Xq * inv_ls).T[:, :, None] - Xt[:, None, :]
-    kq, radial = _kernel_from_r2(spec.signal_variance, np.einsum("jqi,jqi->qi", diff, diff))
+    kq, radial = _kernel_from_r2(
+        spec.signal_variance, np.einsum("jqi,jqi->qi", diff, diff), score is not None
+    )
     v = np.matmul(kq[:, None, :], model.chol_inv.T)[:, 0]
     means = m + np.einsum("qi,i->q", kq, model.alpha)
     variances = spec.signal_variance - np.einsum("qk,qk->q", v, v)
     worst = variances.min()
-    if worst < -1e-8:
-        warnings.warn(
-            f"posterior variance {worst} below the rounding floor", NumericsWarning
-        )
-    summary = PosteriorSummary(means, np.maximum(variances, 0.0))
-    if not with_grad:
-        return summary, None, None
-    # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*.  One
-    # (d, N) by (N, 2) product per row reduces both gradients.
-    weights = np.empty((q, 2, model.n))
-    np.multiply(radial, model.alpha, out=weights[:, 0])
-    np.multiply(radial, np.matmul(v[:, None, :], model.chol_inv)[:, 0], out=weights[:, 1])
+    if worst < 0.0:
+        if worst < -1e-8:
+            warnings.warn(
+                f"posterior variance {worst} below the rounding floor", NumericsWarning
+            )
+        variances = np.maximum(variances, 0.0)
+    if score is None:
+        return means, variances
+    values, a, b = score(means, variances)
+    # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*, so each
+    # gradient sums diff_ij / l_j radial_i (2 b (K~^{-1} k*)_i - a alpha_i)
+    # over i: one (d, N) by (N, k) product per row.
+    shape = Xq.shape + np.shape(a)[1:]
+    weights = np.reshape(2.0 * b, (q, -1, 1)) * np.matmul(v[:, None, :], model.chol_inv)
+    weights -= np.reshape(a, (q, -1, 1)) * model.alpha
+    weights *= radial[:, None, :]
     grads = np.matmul(diff.transpose(1, 0, 2), weights.transpose(0, 2, 1))
-    return summary, -grads[:, :, 0] * inv_ls, 2.0 * grads[:, :, 1] * inv_ls
+    grads *= inv_ls[:, None]
+    return values, grads.reshape(shape)
 
 
 def posterior(model: GpModel, Xq) -> PosteriorSummary:
@@ -586,7 +639,15 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
     An empty model returns the prior.  Computed variances below -1e-8 are
     a numerics bug, not rounding, and emit a NumericsWarning.
     """
-    return _posterior_parts(model, Xq, False)[0]
+    return PosteriorSummary(*_posterior_parts(model, _queries(model, Xq)))
+
+
+def _mean_and_variance(means, variances):
+    """The score whose two values are the mean and the variance, for
+    posterior_grad: partials (1, 0) and (0, 1) per point."""
+    q = means.shape[0]
+    return (PosteriorSummary(means, variances), np.broadcast_to([1.0, 0.0], (q, 2)),
+            np.broadcast_to([0.0, 1.0], (q, 2)))
 
 
 def posterior_grad(model: GpModel, Xq) -> tuple[PosteriorSummary, np.ndarray, np.ndarray]:
@@ -603,4 +664,18 @@ def posterior_grad(model: GpModel, Xq) -> tuple[PosteriorSummary, np.ndarray, np
     :func:`posterior`.  The variance's gradient ignores its clamp at zero.
     An empty model has zero gradients.
     """
-    return _posterior_parts(model, Xq, True)
+    summary, grads = _posterior_parts(model, _queries(model, Xq), _mean_and_variance)
+    return summary, grads[:, :, 0], grads[:, :, 1]
+
+
+def posterior_score(model: GpModel, Xq: np.ndarray, score):
+    """A score of the posterior and its gradient in x, in one pass.
+
+    ``score(means, variances)`` takes the posterior at the (q, d) float
+    array Xq, which is not checked, and returns per point a value and its
+    partials in the mean and in the variance, each of shape (q,).  Returns
+    the values and their gradients, shape (q, d), chained through the
+    gradients of :func:`posterior_grad` without forming them.
+    Batch-invariant like :func:`posterior`.
+    """
+    return _posterior_parts(model, Xq, score)

@@ -99,7 +99,9 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
                 state = task[0]
                 if state == 3:  # wants f and g at x
                     # A list compares as scipy's np.array_equal memo does.
-                    if row.x.tolist() != row.seen_x:
+                    x = row.x.tolist()
+                    if x != row.seen_x:
+                        row.seen_x = x
                         waiting.append(row)
                         break
                     # setulb may write g, so it gets a fresh copy each time.
@@ -115,7 +117,7 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
             break
         F, G = fun(np.array([row.x for row in waiting]))
         for row, f, g in zip(waiting, F, G):
-            row.seen_x, row.seen_f, row.seen_g = row.x.tolist(), f, g
+            row.seen_f, row.seen_g = f, g
             row.f[()] = f
             row.g[:] = g
             row.nfev += 1

@@ -2,11 +2,14 @@
 
 Everything here deliberately avoids the library's production code paths:
 dense matrix inverses instead of Cholesky solves, explicit Python loops
-instead of vectorized kernels, Gauss-Legendre quadrature instead of erf,
-Monte-Carlo draws instead of closed forms, and a direct
-XOR-of-direction-integers construction instead of the iterative Gray-code
-engine.  When an oracle and the library agree, the
+instead of vectorized kernels, Monte-Carlo draws instead of closed forms,
+and a direct XOR-of-direction-integers construction instead of the
+iterative Gray-code engine.  When an oracle and the library agree, the
 agreement is between two genuinely different routes to the same number.
+
+The exception is :func:`two_branch_ei` and :func:`two_branch_log_ei`:
+the library's earlier EI, kept as a reference for the one-form EI that
+replaced it, which must reproduce its left tail bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from pathlib import Path
 
 import numpy as np
+from scipy.special import erfcx, ndtr
 
 SQRT5 = math.sqrt(5.0)
 
@@ -71,11 +75,54 @@ def rsample(summary, n: int, seed: int) -> np.ndarray:
     return summary.means + np.sqrt(summary.variances) * z
 
 
-def normal_cdf_quadrature(z: float, nodes: int = 80) -> float:
-    """Phi(z) = 1/2 + integral of the density from 0 to z, by Gauss-Legendre."""
-    x, w = np.polynomial.legendre.leggauss(nodes)
-    t = 0.5 * z * (x + 1.0)
-    return 0.5 + 0.5 * z * float(np.sum(w * np.exp(-0.5 * t * t))) / math.sqrt(2 * math.pi)
+def _two_branch_tail(gamma):
+    """r = Phi/phi and h/phi = 1 - |gamma| r at |gamma| clamped to >= 1,
+    with the asymptotic series below gamma = -100."""
+    x = np.maximum(-gamma, 1.0)
+    r = math.sqrt(0.5 * math.pi) * erfcx(x / math.sqrt(2.0))
+    ratio = 1.0 - x * r
+    far = x > 100.0
+    if far.any():
+        xf2 = x[far] ** -2
+        ratio[far] = xf2 * (1.0 - xf2 * (3.0 - xf2 * (15.0 - 105.0 * xf2)))
+    return r, ratio
+
+
+def _two_branch_pdf(z):
+    return (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+
+
+def two_branch_ei(means, variances, incumbent):
+    """EI with h = gamma ndtr(gamma) + phi(gamma) above gamma = -1 and
+    phi(gamma) (h/phi) through erfcx at or below it."""
+    sigma = np.sqrt(variances)
+    degenerate = sigma < 1e-12
+    safe_sigma = np.where(degenerate, 1.0, sigma)
+    gamma = (incumbent - means) / safe_sigma
+    pdf = _two_branch_pdf(gamma)
+    h = pdf * _two_branch_tail(gamma)[1]
+    near = gamma > -1.0
+    h[near] = gamma[near] * ndtr(gamma[near]) + pdf[near]
+    limit = np.maximum(incumbent - means, 0.0)
+    return np.maximum(np.where(degenerate, limit, safe_sigma * h), 0.0)
+
+
+def two_branch_log_ei(means, variances, incumbent):
+    """log EI and its partials in the mean and the variance, by the same
+    two branches as :func:`two_branch_ei`."""
+    sigma = np.maximum(np.sqrt(variances), 1e-12)
+    gamma = (incumbent - means) / sigma
+    near = np.maximum(gamma, -1.0)
+    cdf = ndtr(near)
+    h = near * cdf + _two_branch_pdf(near)
+    r, ratio = _two_branch_tail(gamma)
+    tail = gamma <= -1.0
+    log_h = np.where(
+        tail, -0.5 * gamma * gamma - 0.5 * np.log(2.0 * np.pi) + np.log(ratio), np.log(h)
+    )
+    dlog_h = np.where(tail, r / ratio, cdf / h)
+    d_sigma = (1.0 - gamma * dlog_h) / sigma
+    return np.log(sigma) + log_h, -dlog_h / sigma, d_sigma / (2.0 * sigma)
 
 
 def load_direction_table(path) -> list[tuple[int, int, list[int]]]:

@@ -18,9 +18,9 @@ from gpbo import (
     make_model,
 )
 
-from gpbo.acquisition import _pdf, log_ei, ndtr
+from gpbo.acquisition import _CAP, _pdf, log_ei
 
-from oracles import normal_cdf_quadrature, rsample
+from oracles import rsample, two_branch_ei, two_branch_log_ei
 
 INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
@@ -32,25 +32,72 @@ def summary(mu, sigma):
 
 
 class TestNormalFunctions:
-    """The normal density and CDF (scipy's ``ndtr``) that EI is built from."""
-
-    def test_cdf_at_zero(self):
-        assert ndtr(0.0) == 0.5
+    """The normal density that EI is built from."""
 
     def test_pdf_at_zero(self):
         assert _pdf(np.zeros(1))[0] == pytest.approx(INV_SQRT_2PI, abs=1e-15)
 
-    def test_cdf_against_quadrature_oracle(self):
-        for z in (-3.0, -1.5, -0.1, 0.4, 1.0, 2.7):
-            assert ndtr(z) == pytest.approx(normal_cdf_quadrature(z), abs=1e-12)
 
-    def test_cdf_symmetry(self):
-        z = np.linspace(-6, 6, 201)
-        np.testing.assert_allclose(ndtr(-z), 1.0 - ndtr(z), atol=1e-12)
+# gamma, h(gamma) = gamma Phi(gamma) + phi(gamma) and log h, from mpmath at
+# 50 digits, on both sides of gamma = -1 (where the two-branch form
+# switched to ndtr) and of the cap.
+HIGH_PRECISION = [
+    (-0.999, 0.083474246867308465059, -2.4832171154475854429),
+    (-0.5, 0.19779655740130602959, -1.6205162643873199193),
+    (0.0, 0.39894228040143267794, -0.91893853320467274178),
+    (0.5, 0.69779655740130602959, -0.35982768374506381859),
+    (2.0, 2.0084907026168296375, 0.69738354578822831219),
+    (5.0, 5.0000000534616553383, 1.6094379231264313851),
+    (7.99, 7.990000000000000082, 2.0781907597781833093),
+    (8.01, 8.0100000000000000695, 2.0806907610802678618),
+    (30.0, 30.0, 3.4011973816621553754),
+    (1e3, 1000.0, 6.9077552789821370521),
+]
 
-    def test_cdf_monotone(self):
-        z = np.linspace(-8, 8, 1001)
-        assert np.all(np.diff(ndtr(z)) >= 0)
+
+class TestOneForm:
+    """One erfcx form for every gamma, against the two-branch form it
+    replaced and against mpmath."""
+
+    def test_left_tail_is_the_two_branch_form_bitwise(self):
+        rng = np.random.default_rng(7)
+        gamma = np.concatenate([
+            -np.logspace(0.0, 4.0, 20000), -rng.uniform(1.0, 150.0, 20000), [-1.0, -100.0],
+        ])
+        for sd in (1.0, 0.37):
+            means, variances = -gamma * sd, np.full_like(gamma, sd * sd)
+            assert ei(PosteriorSummary(means, variances), 0.0).tobytes() == (
+                two_branch_ei(means, variances, 0.0).tobytes())
+            for ours, theirs in zip(log_ei(means, variances, 0.0),
+                                    two_branch_log_ei(means, variances, 0.0)):
+                assert ours.tobytes() == theirs.tobytes()
+
+    def test_agrees_with_the_two_branch_form_above(self):
+        gamma = np.linspace(-1.0, 12.0, 5001)
+        means, variances = -gamma, np.ones_like(gamma)
+        np.testing.assert_allclose(ei(PosteriorSummary(means, variances), 0.0),
+                                   two_branch_ei(means, variances, 0.0), rtol=1e-13)
+        for ours, theirs in zip(log_ei(means, variances, 0.0),
+                                two_branch_log_ei(means, variances, 0.0)):
+            np.testing.assert_allclose(ours, theirs, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("gamma, h, log_h", HIGH_PRECISION)
+    def test_matches_high_precision(self, gamma, h, log_h):
+        np.testing.assert_allclose(ei(summary(-gamma, 1.0), 0.0)[0], h, rtol=1e-12)
+        value = log_ei(np.array([-gamma]), np.ones(1), 0.0)[0][0]
+        assert value == pytest.approx(log_h, rel=1e-15, abs=1e-12)
+
+    def test_continuous_across_the_cap(self):
+        # Below the cap h is phi (1 + gamma r), whose two exponentials cancel
+        # to about 1e-14 relative; above it h is gamma.
+        gamma = np.array([np.nextafter(_CAP, -np.inf), _CAP, np.nextafter(_CAP, np.inf)])
+        means, variances = -gamma, np.ones(3)
+        values = ei(PosteriorSummary(means, variances), 0.0)
+        np.testing.assert_allclose(values, gamma, rtol=1e-14)
+        log_values, d_mu, d_var = log_ei(means, variances, 0.0)
+        np.testing.assert_allclose(log_values, np.log(gamma), rtol=1e-14)
+        np.testing.assert_allclose(d_mu, -1.0 / gamma, rtol=1e-14)
+        np.testing.assert_allclose(d_var, 0.0, atol=1e-14)
 
 
 class TestEi:
@@ -126,7 +173,7 @@ class TestLogEi:
         gamma = np.linspace(-30.0, 5.0, 1401)
         for sd in (0.3, 1.0, 2.5):
             s = summary(-gamma * sd, np.full_like(gamma, sd))
-            np.testing.assert_allclose(np.exp(log_ei(s, 0.0)[0]), ei(s, 0.0), rtol=1e-12)
+            np.testing.assert_allclose(np.exp(log_ei(s.means, s.variances, 0.0)[0]), ei(s, 0.0), rtol=1e-12)
 
     @pytest.mark.parametrize(
         "gamma, log_h",
@@ -136,13 +183,13 @@ class TestLogEi:
     )
     def test_tail_matches_high_precision(self, gamma, log_h):
         # mpmath at 60 digits.  ei underflows to 0 from gamma ~ -38 on.
-        value = log_ei(summary(-gamma, 1.0), 0.0)[0][0]
+        value = log_ei(np.array([-gamma]), np.ones(1), 0.0)[0][0]
         assert value == pytest.approx(log_h, rel=1e-15, abs=1e-12)
 
     def test_finite_and_increasing_in_gamma(self):
         gamma = -np.logspace(4, -3, 4000)
         gamma = np.concatenate([gamma, np.linspace(0.0, 5.0, 500)])
-        values = log_ei(summary(-gamma, 1.0), 0.0)[0]
+        values = log_ei(-gamma, np.ones_like(gamma), 0.0)[0]
         assert np.all(np.isfinite(values))
         assert np.all(np.diff(values) > 0)
 
@@ -152,18 +199,18 @@ class TestLogEi:
         sd = rng.uniform(0.05, 3.0, gamma.shape[0])
         mu = -gamma * sd
         var = sd**2
-        _, d_mu, d_var = log_ei(PosteriorSummary(mu, var), 0.0)
+        _, d_mu, d_var = log_ei(mu, var, 0.0)
         step = 1e-6
-        fd_mu = (log_ei(summary(mu + step * sd, sd), 0.0)[0]
-                 - log_ei(summary(mu - step * sd, sd), 0.0)[0]) / (2 * step * sd)
-        fd_var = (log_ei(PosteriorSummary(mu, var * (1 + step)), 0.0)[0]
-                  - log_ei(PosteriorSummary(mu, var * (1 - step)), 0.0)[0]) / (2 * step * var)
+        fd_mu = (log_ei(mu + step * sd, var, 0.0)[0]
+                 - log_ei(mu - step * sd, var, 0.0)[0]) / (2 * step * sd)
+        fd_var = (log_ei(mu, var * (1 + step), 0.0)[0]
+                  - log_ei(mu, var * (1 - step), 0.0)[0]) / (2 * step * var)
         np.testing.assert_allclose(d_mu, fd_mu, rtol=1e-5)
         np.testing.assert_allclose(d_var, fd_var, rtol=1e-5, atol=1e-6)
 
     def test_sd_below_floor_is_clamped(self):
         # The hinge's log where it is positive, and finite where it is 0.
-        values, _, _ = log_ei(summary([1.0, 3.0], [0.0, 0.0]), 2.0)
+        values, _, _ = log_ei(np.array([1.0, 3.0]), np.zeros(2), 2.0)
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         assert np.isfinite(values[1]) and values[1] < -1e20
 

@@ -156,19 +156,21 @@ def test_refine_runs_match_scipy(monkeypatch, d):
 @pytest.mark.parametrize("d", [2, 5, 6])
 def test_one_posterior_grad_call_per_refine_evaluation(monkeypatch, d):
     # The refine twin of the fit's one _mll_core call per evaluation: one
-    # posterior_grad call per lockstep step, on the rows that wait for it.
-    real_grad, real_rows = gpbo.acqopt.posterior_grad, gpbo.acqopt.minimize_rows
+    # posterior gradient call (posterior_score, which chains -log EI
+    # through the posterior's gradient) per lockstep step, on the rows
+    # that wait for it.
+    real_score, real_rows = gpbo.acqopt.posterior_score, gpbo.acqopt.minimize_rows
     calls, runs = [], []
 
-    def counted_grad(model, Z):
+    def counted_score(model, Z, score):
         calls.append(len(Z))
-        return real_grad(model, Z)
+        return real_score(model, Z, score)
 
     def counted_rows(*args, **kwargs):
         runs.append(real_rows(*args, **kwargs))
         return runs[-1]
 
-    monkeypatch.setattr(gpbo.acqopt, "posterior_grad", counted_grad)
+    monkeypatch.setattr(gpbo.acqopt, "posterior_score", counted_score)
     monkeypatch.setattr(gpbo.acqopt, "minimize_rows", counted_rows)
     for seed in range(4):
         calls.clear()
@@ -229,3 +231,25 @@ def test_start_outside_the_box_is_clipped(starts):
     if len(starts) > 1:
         assert (results[1].nit, results[1].nfev) == (0, 1)
         assert min(results[0].nfev, results[2].nfev) > 1
+
+
+def misled_rows(X):
+    """Rosenbrock whose gradient points the wrong way where x_0 < -1."""
+    F, G = rosenbrock_rows(X)
+    G[X[:, 0] < -1.0] *= -1.0
+    return F, G
+
+
+def test_failed_line_search_ends_its_row_alone():
+    # The second row starts where its gradient disagrees with its value, so
+    # its first line search never finds a decrease and the run ends
+    # ABNORMAL at nit 0; the first row runs on past it to convergence and
+    # the third converges at its start.
+    starts = [[0.5, 0.25, 0.0625, 0.0], [-1.5, -1.5, -1.5, -1.5], [1.0, 1.0, 1.0, 1.0]]
+    bounds, options = [(-2.0, 2.0)] * 4, {"maxiter": 200}
+    results = assert_same_rows(misled_rows, starts, bounds, options)
+    (first, _), (failed, _), _ = lone_runs(misled_rows, starts, bounds, options)
+    assert failed.message.startswith("ABNORMAL") and first.success
+    assert (results[1].nit, results[1].success) == (0, False)
+    assert results[0].nfev > results[1].nfev > 1
+    assert (results[2].nit, results[2].nfev, results[2].success) == (0, 1, True)

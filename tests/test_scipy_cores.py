@@ -9,10 +9,12 @@ import sys
 import types
 from pathlib import Path
 
+from importlib.machinery import EXTENSION_SUFFIXES
+
 import pytest
-import scipy
 import scipy.special
 
+import gpbo.scipy_cores
 from gpbo.scipy_cores import load
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -50,11 +52,21 @@ loaded()
     assert out.splitlines() == ["[]"] * 3
 
 
+def test_import_gpbo_never_imports_scipy():
+    out = run_fresh(
+        """
+import gpbo, gpbo.cli
+print(sorted(m.split(".")[-1] for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    )
+    assert out.split() == ["['_flapack',", "'_lbfgsb',", "'_special_ufuncs']"]
+
+
 # (compiled module, the gpbo module that imports from it, its functions)
 CORES = [
     ("scipy.optimize._lbfgsb", "gpbo.lbfgsb", ("setulb",)),
     ("scipy.linalg._flapack", "gpbo.gp", ("dpotrf", "dpotrs", "dtrtri", "dtrtrs")),
-    ("scipy.special._special_ufuncs", "gpbo.acquisition", ("ndtr", "erfcx")),
+    ("scipy.special._special_ufuncs", "gpbo.acquisition", ("erfcx",)),
 ]
 # Where scipy's public code reaches each function.  (When gpbo loads first,
 # the private package attributes such as scipy.optimize._lbfgsb are never
@@ -97,9 +109,19 @@ print(res.success, np.round(res.x, 6).tolist())
 
 def test_missing_file_falls_back_to_the_public_module(monkeypatch, tmp_path):
     monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs")
-    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    monkeypatch.setattr(gpbo.scipy_cores, "_package_roots", lambda: [str(tmp_path)])
     ndtr, erfcx = load("scipy.special._special_ufuncs", "scipy.special", "ndtr", "erfcx")
     assert ndtr is scipy.special.ndtr and erfcx is scipy.special.erfcx
+    assert "scipy.special._special_ufuncs" not in sys.modules
+
+
+def test_file_that_fails_to_load_falls_back_to_the_public_module(monkeypatch, tmp_path):
+    (tmp_path / "special").mkdir()
+    (tmp_path / "special" / f"_special_ufuncs{EXTENSION_SUFFIXES[0]}").write_bytes(b"not a module")
+    monkeypatch.delitem(sys.modules, "scipy.special._special_ufuncs")
+    monkeypatch.setattr(gpbo.scipy_cores, "_package_roots", lambda: [str(tmp_path)])
+    (erfcx,) = load("scipy.special._special_ufuncs", "scipy.special", "erfcx")
+    assert erfcx is scipy.special.erfcx
     assert "scipy.special._special_ufuncs" not in sys.modules
 
 
