@@ -34,14 +34,12 @@ against the ``src/`` of the checkout this script belongs to (or the one
 Next to each ``fit`` timing are its numbers of ``_mll_core`` calls
 (``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``).  Next to
 each ``maximize_acquisition`` timing are the refine's batched steps
-(``refine_steps``: calls of ``posterior_score``, or of ``posterior_grad``
-in older checkouts), the rows they evaluate (``refine_rows``), and
-how each L-BFGS-B run ended (``refine_ends``), with its evaluations
-(``refine_evals``): ``converged`` (``success``), ``line_search_failed``
-(not ``success`` and ``nit`` below ``maxiter``) or ``maxiter``.  A
-checkout that refines its starts in one joint run reports that run.  The
-counts are deterministic, so unlike the timings they do not move with
-host drift.
+(``refine_steps``: calls of ``posterior_score``), the rows they evaluate
+(``refine_rows``), and how each L-BFGS-B run ended (``refine_ends``),
+with its evaluations (``refine_evals``): ``converged`` (``success``),
+``line_search_failed`` (not ``success`` and ``nit`` below ``maxiter``)
+or ``maxiter``.  The counts are deterministic, so unlike the timings
+they do not move with host drift.
 
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
 and scipy versions.
@@ -53,10 +51,7 @@ alternating which side goes first, against this checkout's ``src/`` and
 layer it prints the median over rounds per side and the median and range
 of the per-round change/parent ratio; a range that stays on one side of
 1 is a change the host's drift cannot explain.  The last line is the
-same table as JSON.  A checkout whose ``fit`` still takes ``restarts``
-is given the loop's 3, so that both sides fit from as many starts, and
-one whose ``gpbo.gp.minimize`` is scipy's is passed ``jac=True,
-method="L-BFGS-B"``, so that both sides run the same optimizer.
+same table as JSON.
 
 Usage:
     python scripts/layer_bench.py
@@ -67,7 +62,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import json
 import os
 import platform
@@ -152,42 +146,34 @@ def counted(module, name: str, call) -> int:
 
 @contextlib.contextmanager
 def refine_counts(acqopt):
-    """While open, count the acquisition refine's batched steps, the rows
-    they evaluate, and each L-BFGS-B run's end with its evaluations.
-
-    ``acqopt`` is the ``gpbo.acqopt`` module.  Each step calls
-    ``posterior_score`` or, in older checkouts, ``posterior_grad``.  The
-    refine calls ``minimize_rows`` (one run per start) or, in older
-    checkouts, ``minimize`` (one joint run); either is counted.
+    """While open, count the acquisition refine's batched steps (calls of
+    ``posterior_score``), the rows they evaluate, and each L-BFGS-B run's
+    end with its evaluations.  ``acqopt`` is the ``gpbo.acqopt`` module.
     """
     counts = {"refine_steps": 0, "refine_rows": 0,
               "refine_ends": dict.fromkeys(REFINE_ENDS, 0),
               "refine_evals": dict.fromkeys(REFINE_ENDS, 0)}
-    step = "posterior_score" if hasattr(acqopt, "posterior_score") else "posterior_grad"
-    runner = "minimize_rows" if hasattr(acqopt, "minimize_rows") else "minimize"
-    originals = {name: getattr(acqopt, name) for name in (step, runner)}
+    score, rows = acqopt.posterior_score, acqopt.minimize_rows
 
     def counted_step(model, Z, *args):
         counts["refine_steps"] += 1
         counts["refine_rows"] += len(Z)
-        return originals[step](model, Z, *args)
+        return score(model, Z, *args)
 
     def run(*args, options, **kwargs):
-        results = originals[runner](*args, options=options, **kwargs)
-        for res in results if runner == "minimize_rows" else [results]:
+        results = rows(*args, options=options, **kwargs)
+        for res in results:
             end = ("converged" if res.success else
                    "maxiter" if res.nit >= options["maxiter"] else "line_search_failed")
             counts["refine_ends"][end] += 1
             counts["refine_evals"][end] += res.nfev
         return results
 
-    setattr(acqopt, step, counted_step)
-    setattr(acqopt, runner, run)
+    acqopt.posterior_score, acqopt.minimize_rows = counted_step, run
     try:
         yield counts
     finally:
-        for name, original in originals.items():
-            setattr(acqopt, name, original)
+        acqopt.posterior_score, acqopt.minimize_rows = score, rows
 
 
 def refine_objective(acqopt, call):
@@ -221,7 +207,6 @@ def dataset(n: int, d: int, seed: int, fixed_noise: bool):
 def optimizer_cost(minimize) -> dict:
     """Microseconds per evaluation of one ``minimize`` run on a 6-d box
     quadratic, with the run's ``nfev``."""
-    method = {"jac": True, "method": "L-BFGS-B"} if minimize.__module__.startswith("scipy") else {}
     weights, centre = np.logspace(0.0, 3.0, 6), np.linspace(-0.5, 1.5, 6)
 
     def quadratic(x):
@@ -230,7 +215,7 @@ def optimizer_cost(minimize) -> dict:
 
     def run_once():
         return minimize(quadratic, np.zeros(6), bounds=[(-1.0, 1.0)] * 6,
-                        options={"maxiter": 200}, **method)
+                        options={"maxiter": 200})
 
     nfev = run_once().nfev
     return dict(timed(run_once, 1e6 / nfev), nfev=nfev)
@@ -247,21 +232,19 @@ def measure(src: Path) -> dict:
     from gpbo.gp import mll_grad, posterior
 
     os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-    starts = {"restarts": 3} if "restarts" in inspect.signature(fit).parameters else {}
     cases = {"n60_d2_fitted_noise": (60, 2, False), "n30_d5_fixed_noise": (30, 5, True),
              "n60_d6_fitted_noise": (60, 6, False)}
     out = {"mll_grad_us": {}, "fit_ms": {}, "fit_cold_ms": {}, "posterior_256_us": {},
            "refine_eval_us": {}, "maximize_ms": {}}
     for name, (n, d, fixed_noise) in cases.items():
         X, y, nd = dataset(n, d, seed=n + d, fixed_noise=fixed_noise)
-        warm = fit(X[:-1], y[:-1], seed=1, noise_diag=None if nd is None else nd[:-1],
-                   **starts).theta
-        model = fit(X, y, seed=2, noise_diag=nd, start=warm, **starts)
+        warm = fit(X[:-1], y[:-1], seed=1, noise_diag=None if nd is None else nd[:-1]).theta
+        model = fit(X, y, seed=2, noise_diag=nd, start=warm)
         out["mll_grad_us"][name] = timed(lambda: mll_grad(model.theta, X, y, nd), 1e6)
 
         for layer, start in (("fit_ms", warm), ("fit_cold_ms", None)):
             def fit_once(start=start):
-                fit(X, y, seed=2, noise_diag=nd, start=start, **starts)
+                fit(X, y, seed=2, noise_diag=nd, start=start)
 
             out[layer][name] = dict(
                 timed(fit_once, 1e3),

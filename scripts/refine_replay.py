@@ -15,12 +15,11 @@ checkout's answer is (reference - answer) / reference, relative EI.
 
 Per workload it prints the acquisitions replayed; the shortfalls beyond
 1e-4 and beyond 1e-2, and the worst one; the refine's batched steps
-(``posterior_score`` calls, or ``posterior_grad`` calls in older
-checkouts) and the rows they evaluated during the recorded runs; and the share
-of refine evaluations spent in L-BFGS-B runs that ended with a failed
-line search (ABNORMAL: not ``success`` and ``nit`` below ``maxiter``),
-counted as ``scripts/layer_bench.py`` counts them.  The last line is the
-same table as JSON.
+(``posterior_score`` calls) and the rows they evaluated during the
+recorded runs; and the share of refine evaluations spent in L-BFGS-B
+runs that ended with a failed line search (ABNORMAL: not ``success`` and
+``nit`` below ``maxiter``), counted as ``scripts/layer_bench.py`` counts
+them.  The last line is the same table as JSON.
 
 ``--src DIR`` replays the gpbo package under DIR instead of this
 checkout's, for example a parent checkout's ``src/``.
@@ -33,7 +32,6 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 import tempfile
@@ -84,7 +82,7 @@ def reference(model, incumbent: float, seed: int) -> float:
     from gpbo import SobolEngine, ei, posterior
     from gpbo.acqopt import CANDIDATE_COUNT, REFINE_COUNT
     from gpbo.acquisition import log_ei
-    from gpbo.gp import posterior_grad
+    from gpbo.gp import posterior_score
 
     d = model.d
     candidates = SobolEngine(d).fast_forward(seed % 4096).next(CANDIDATE_COUNT)
@@ -93,15 +91,11 @@ def reference(model, incumbent: float, seed: int) -> float:
     order = np.argsort(-values, kind="stable")
     best = float(values[order[0]])
 
-    # log_ei takes the means and the variances, or in older checkouts the
-    # summary that holds them.
-    takes_summary = len(inspect.signature(log_ei).parameters) == 2
-
     def objective(x):
-        summary, dmean, dvar = posterior_grad(model, x[None])
-        log_values, d_mu, d_var = (log_ei(summary, incumbent) if takes_summary else
-                                   log_ei(summary.means, summary.variances, incumbent))
-        return -float(log_values[0]), -(d_mu[0] * dmean[0] + d_var[0] * dvar[0])
+        values, grads = posterior_score(
+            model, x[None], lambda means, variances: log_ei(means, variances, incumbent)
+        )
+        return -float(values[0]), -grads[0]
 
     for idx in order[:REFINE_COUNT]:
         if values[idx] > 0:

@@ -121,7 +121,7 @@ def default_hyperparams(d: int) -> GpHyperparams:
 
 @dataclass(frozen=True, eq=False)
 class GpModel:
-    """A fitted (or directly constructed) GP with its cached factorization.
+    """A GP on a nonempty history with its cached factorization.
 
     With L the lower Cholesky factor of K + noise + jitter I (the noise is
     ``theta.noise_variance`` I, or a fixed per-observation diagonal in its
@@ -131,8 +131,8 @@ class GpModel:
 
     X: np.ndarray
     theta: GpHyperparams
-    chol_inv: np.ndarray | None
-    alpha: np.ndarray | None
+    chol_inv: np.ndarray
+    alpha: np.ndarray
     jitter_used: float
 
     @property
@@ -317,7 +317,7 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
     """Run the core routine at theta on a dataset from :func:`_dataset`."""
     n = X.shape[0]
     if n < 1:
-        raise UsageError("marginal likelihood requires at least one observation")
+        raise UsageError("a GP needs at least one observation")
     spec = theta.kernel
     if X.shape[1] != spec.lengthscales.shape[0]:
         raise SpaceError(
@@ -359,13 +359,8 @@ def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None
 
 
 def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
-    """Assemble a GpModel for given hyperparameters (no fitting).
-
-    Accepts an empty history (N = 0), which yields the prior.
-    """
+    """Assemble a GpModel for given hyperparameters (no fitting), N >= 1."""
     X, y, nd = _dataset(X, y, noise_diag)
-    if X.shape[0] == 0:
-        return GpModel(X=X, theta=theta, chol_inv=None, alpha=None, jitter_used=0.0)
     return _assemble(X, theta, _evaluate(theta, X, y, nd, False))
 
 
@@ -438,7 +433,8 @@ def _on_edge(z: np.ndarray, box: _Box, d: int) -> bool:
 
 
 def _start_points(lo, hi, seed: int, given: list, cold: int) -> list[np.ndarray]:
-    """The given starts, then ``cold`` Sobol points over the box [lo, hi]."""
+    """The given starts, then ``cold`` Sobol points over the box [lo, hi],
+    or uniform draws from ``default_rng(seed)`` past Sobol's dimensions."""
     if cold == 0:
         return list(given)
     k = len(lo)
@@ -484,7 +480,10 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     ----------
     X : (N, d) array of unit-cube inputs, N >= 1
     y : (N,) array of standardized targets
-    seed : offsets the Sobol stream the cold starts are drawn from
+    seed : offsets the Sobol stream the cold starts are drawn from, or,
+        past Sobol's 21 dimensions (d >= 19 with fitted noise, d >= 20
+        with ``noise_diag``), seeds the ``np.random.default_rng`` that
+        draws them uniformly from the box
     start : optional hyperparameters used as one extra start; unless it is
         in doubt, the Sobol starts are skipped and only the better of it
         and the default is refined
@@ -571,25 +570,17 @@ def _queries(model: GpModel, Xq) -> np.ndarray:
 
 
 def _posterior_parts(model: GpModel, Xq: np.ndarray, score=None):
-    """The one posterior path, behind posterior, posterior_grad and
-    posterior_score, at (q, d) float query points Xq.
+    """The one posterior path, behind posterior and posterior_score, at
+    (q, d) float query points Xq.
 
     Without ``score``, returns the means and the variances (clamped at
     zero).  With it, ``score(means, variances)`` returns values and their
-    partials a in the mean and b in the variance, each of shape (q,) or,
-    for k functions of the posterior, (q, k); this returns the values and
-    their gradients in x, a d mu/dx + b d sigma2/dx, of shape (q, d) or
-    (q, d, k).
+    partials a in the mean and b in the variance, each of shape (q,); this
+    returns the values and their gradients in x, a d mu/dx + b d sigma2/dx,
+    of shape (q, d).
     """
     spec = model.theta.kernel
     m = model.theta.mean.constant
-    q = Xq.shape[0]
-    if model.n == 0:
-        means, variances = np.full(q, m), np.full(q, spec.signal_variance)
-        if score is None:
-            return means, variances
-        values, a, _ = score(means, variances)
-        return values, np.zeros(Xq.shape + np.shape(a)[1:])
     # Explicit differences of scaled inputs (not the a^2+b^2-2ab trick), so
     # that coincident points give exactly zero, laid out as one contiguous
     # (q, N) plane per dimension.  Queries sit on rows, and every row is
@@ -616,14 +607,13 @@ def _posterior_parts(model: GpModel, Xq: np.ndarray, score=None):
     values, a, b = score(means, variances)
     # dk_i/dx_j = -radial_i diff_ij / l_j, and L^{-T} v = K~^{-1} k*, so each
     # gradient sums diff_ij / l_j radial_i (2 b (K~^{-1} k*)_i - a alpha_i)
-    # over i: one (d, N) by (N, k) product per row.
-    shape = Xq.shape + np.shape(a)[1:]
-    weights = np.reshape(2.0 * b, (q, -1, 1)) * np.matmul(v[:, None, :], model.chol_inv)
-    weights -= np.reshape(a, (q, -1, 1)) * model.alpha
+    # over i: one (d, N) by (N, 1) product per row.
+    weights = (2.0 * b)[:, None, None] * np.matmul(v[:, None, :], model.chol_inv)
+    weights -= a[:, None, None] * model.alpha
     weights *= radial[:, None, :]
-    grads = np.matmul(diff.transpose(1, 0, 2), weights.transpose(0, 2, 1))
-    grads *= inv_ls[:, None]
-    return values, grads.reshape(shape)
+    grads = np.matmul(diff.transpose(1, 0, 2), weights.transpose(0, 2, 1))[:, :, 0]
+    grads *= inv_ls
+    return values, grads
 
 
 def posterior(model: GpModel, Xq) -> PosteriorSummary:
@@ -636,36 +626,10 @@ def posterior(model: GpModel, Xq) -> PosteriorSummary:
     however many other points share the call, so scores computed one
     point at a time and in batches can be compared exactly.
 
-    An empty model returns the prior.  Computed variances below -1e-8 are
-    a numerics bug, not rounding, and emit a NumericsWarning.
+    Computed variances below -1e-8 are a numerics bug, not rounding, and
+    emit a NumericsWarning.
     """
     return PosteriorSummary(*_posterior_parts(model, _queries(model, Xq)))
-
-
-def _mean_and_variance(means, variances):
-    """The score whose two values are the mean and the variance, for
-    posterior_grad: partials (1, 0) and (0, 1) per point."""
-    q = means.shape[0]
-    return (PosteriorSummary(means, variances), np.broadcast_to([1.0, 0.0], (q, 2)),
-            np.broadcast_to([0.0, 1.0], (q, 2)))
-
-
-def posterior_grad(model: GpModel, Xq) -> tuple[PosteriorSummary, np.ndarray, np.ndarray]:
-    """:func:`posterior` with the gradients of the mean and the variance in x.
-
-    Returns the summary, bitwise equal to ``posterior(model, Xq)``, and
-    d mu/dx and d sigma2/dx, each of shape (q, d):
-
-        d mu/dx_j     =    sum_i dk_i/dx_j alpha_i
-        d sigma2/dx_j = -2 sum_i dk_i/dx_j (K~^{-1} k*)_i
-
-    with dk/dx_j = -(5/3) s2 (1 + sqrt5 r) exp(-sqrt5 r) (x_j - z_j) / l_j^2,
-    which has no singularity at r = 0.  Batch-invariant like
-    :func:`posterior`.  The variance's gradient ignores its clamp at zero.
-    An empty model has zero gradients.
-    """
-    summary, grads = _posterior_parts(model, _queries(model, Xq), _mean_and_variance)
-    return summary, grads[:, :, 0], grads[:, :, 1]
 
 
 def posterior_score(model: GpModel, Xq: np.ndarray, score):
@@ -673,9 +637,16 @@ def posterior_score(model: GpModel, Xq: np.ndarray, score):
 
     ``score(means, variances)`` takes the posterior at the (q, d) float
     array Xq, which is not checked, and returns per point a value and its
-    partials in the mean and in the variance, each of shape (q,).  Returns
-    the values and their gradients, shape (q, d), chained through the
-    gradients of :func:`posterior_grad` without forming them.
+    partials a in the mean and b in the variance, each of shape (q,).
+    Returns the values and their gradients a d mu/dx + b d sigma2/dx,
+    shape (q, d), where
+
+        d mu/dx_j     =    sum_i dk_i/dx_j alpha_i
+        d sigma2/dx_j = -2 sum_i dk_i/dx_j (K~^{-1} k*)_i
+
+    with dk/dx_j = -(5/3) s2 (1 + sqrt5 r) exp(-sqrt5 r) (x_j - z_j) / l_j^2,
+    which has no singularity at r = 0.  Neither gradient is formed on its
+    own.  The variance's gradient ignores its clamp at zero.
     Batch-invariant like :func:`posterior`.
     """
     return _posterior_parts(model, Xq, score)

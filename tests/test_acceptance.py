@@ -23,16 +23,13 @@ from gpbo import (
     KernelSpec,
     MeanSpec,
     Observation,
-    PosteriorSummary,
     SobolEngine,
     ei,
-    make_model,
-    mll_grad,
     optimize,
     posterior,
 )
 from gpbo.benchmarks import default_space, make_builtin
-from gpbo.gp import _pack, _unpack, mll
+from gpbo.gp import PosteriorSummary, _pack, _unpack, make_model, mll, mll_grad
 from gpbo.loop import GeneratorKind
 from gpbo.space import decode
 

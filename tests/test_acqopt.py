@@ -10,13 +10,13 @@ from gpbo import (
     SobolEngine,
     ei,
     incumbent_value,
-    make_model,
     maximize_acquisition,
     posterior,
 )
 import gpbo.acqopt
 import gpbo.gp
 from gpbo.acqopt import CANDIDATE_COUNT
+from gpbo.gp import make_model
 
 
 def toy_model(seed, n=6, d=1, noise=0.01):
@@ -67,11 +67,14 @@ class TestMaximizeAcquisition:
             assert value >= scatter_best - 1e-12
 
     def test_constant_acquisition_returns_first_candidate(self):
-        # With no data every point has the prior's mean and variance, so
-        # EI is flat and the tie-break contract pins the answer to the
+        # One observation in a corner with lengthscales 1e-3 leaves 1023 of
+        # the 1024 scatter points at exactly the prior's mean and variance,
+        # so EI is flat and the tie-break contract pins the answer to the
         # first Sobol point.
-        theta = GpHyperparams(KernelSpec("matern52", np.array([0.5, 0.5]), 1.0), MeanSpec(0.0), 0.0)
-        model = make_model(np.empty((0, 2)), [], theta)
+        theta = GpHyperparams(
+            KernelSpec("matern52", np.array([1e-3, 1e-3]), 1.0), MeanSpec(0.0), 0.0
+        )
+        model = make_model([[0.05, 0.95]], [1.0], theta)
         x, _ = maximize_acquisition(model, 0.3, 0)
         first = SobolEngine(2).next(1)[0]
         np.testing.assert_array_equal(x, first)

@@ -11,12 +11,11 @@ from gpbo import (
     GpHyperparams,
     KernelSpec,
     MeanSpec,
-    PosteriorSummary,
     UsageError,
     ei,
     incumbent_value,
-    make_model,
 )
+from gpbo.gp import GpModel, PosteriorSummary, make_model
 
 from gpbo.acquisition import _CAP, _pdf, log_ei
 
@@ -243,7 +242,10 @@ class TestIncumbent:
         assert incumbent_value(model) == pytest.approx(brute, rel=1e-12)
 
     def test_empty_model_has_no_incumbent(self):
+        # make_model rejects an empty history, so the model is built by hand.
         from gpbo import default_hyperparams
 
-        with pytest.raises(UsageError):
-            incumbent_value(make_model(np.empty((0, 1)), [], default_hyperparams(1)))
+        model = GpModel(X=np.empty((0, 1)), theta=default_hyperparams(1),
+                        chol_inv=np.empty((0, 0)), alpha=np.empty(0), jitter_used=0.0)
+        with pytest.raises(UsageError, match="empty model"):
+            incumbent_value(model)

@@ -7,22 +7,13 @@ import sys
 import numpy as np
 import pytest
 
-from gpbo import (
-    Arm,
-    ConfigFileError,
-    ConfigParseError,
-    ConfigSchemaError,
-    EvaluatorFault,
-    Observation,
-    UsageError,
-    new_experiment,
-    suggest,
-    complete_trial,
-)
+from gpbo import Observation, UsageError, complete_trial, new_experiment, suggest
 from gpbo.benchmarks import BUILTIN_PARAMS, GROUP_WEIGHT_NAMES, default_space, make_builtin
 from gpbo.cli import main, run
 from gpbo.config import BuiltinObjective, CommandObjective, RunConfig, parse_config
+from gpbo.errors import ConfigFileError, ConfigParseError, ConfigSchemaError, EvaluatorFault
 from gpbo.external import subprocess_evaluate
+from gpbo.space import Arm
 from gpbo.trial_log import TrialLogRecord, read_trial_log, write_trial_log
 
 from oracles import branin_grid_minimum

@@ -11,17 +11,13 @@ from gpbo import (
     GpHyperparams,
     KernelSpec,
     MeanSpec,
-    NumericalError,
-    SpaceError,
     UsageError,
     default_hyperparams,
-    factorize,
     fit,
-    make_model,
     mll,
-    mll_grad,
     posterior,
 )
+from gpbo.errors import NumericalError, SpaceError
 from gpbo.gp import (
     FIT_RESTARTS,
     LENGTHSCALE_BOUNDS,
@@ -30,8 +26,12 @@ from gpbo.gp import (
     _pack,
     _sq_diffs,
     _unpack,
-    posterior_grad,
+    factorize,
+    make_model,
+    mll_grad,
+    posterior_score,
 )
+from gpbo.sobol import MAX_DIMENSION
 
 from oracles import dense_mll, dense_posterior, kernel_matrix_loops, kernel_value
 
@@ -187,7 +187,8 @@ class TestFactorize:
         assert excinfo.value.diagnostics["min_eigenvalue"] < 0
 
 
-@pytest.mark.parametrize(
+# The four entry points that take a history (X, y).
+every_entry = pytest.mark.parametrize(
     "entry",
     [
         lambda X, y: fit(X, y, seed=0),
@@ -197,10 +198,19 @@ class TestFactorize:
     ],
     ids=["fit", "mll", "mll_grad", "make_model"],
 )
+
+
+@every_entry
 def test_targets_must_match_the_rows_of_x(entry):
     X = np.random.default_rng(0).random((6, 2))
     with pytest.raises(SpaceError, match=r"y must have shape \(6,\)"):
         entry(X, np.zeros(5))
+
+
+@every_entry
+def test_empty_history_rejected(entry):
+    with pytest.raises(UsageError, match="at least one observation"):
+        entry(np.empty((0, 2)), np.empty(0))
 
 
 @pytest.mark.parametrize("n, duplicates", [(1, False), (5, False), (60, False), (6, True)])
@@ -567,9 +577,35 @@ class TestFit:
             hits += 0.1 <= model.theta.kernel.lengthscales[0] <= 0.4
         assert hits >= 18
 
-    def test_empty_data_rejected(self):
-        with pytest.raises(UsageError):
-            fit(np.empty((0, 1)), [], seed=0)
+    @pytest.mark.parametrize("d, fixed_noise", [(19, False), (20, True)],
+                             ids=["fitted-noise-d19", "fixed-noise-d20"])
+    def test_cold_starts_past_sobol_dimensions(self, monkeypatch, d, fixed_noise):
+        # d + 3 (fitted noise) or d + 2 (fixed noise) coordinates exceed
+        # Sobol's 21 dimensions, so the cold starts come from default_rng(seed).
+        k = len(_pack(default_hyperparams(d), not fixed_noise))
+        assert k > MAX_DIMENSION
+        runs = recorded_runs(monkeypatch)
+        rng = np.random.default_rng(d)
+        X = rng.random((25, d))
+        y = np.sin(3.0 * X[:, :3]).sum(axis=1) + 0.1 * rng.standard_normal(25)
+        y = (y - y.mean()) / y.std()
+        nd = rng.uniform(0.01, 0.1, 25) if fixed_noise else None
+        a = fit(X, y, seed=7, noise_diag=nd)
+        b = fit(X, y, seed=7, noise_diag=nd)
+        for array in (a.theta.kernel.lengthscales, a.chol_inv, a.alpha):
+            assert np.all(np.isfinite(array))
+        np.testing.assert_array_equal(_pack(a.theta, nd is None), _pack(b.theta, nd is None))
+        assert a.chol_inv.tobytes() == b.chol_inv.tobytes()
+        assert a.alpha.tobytes() == b.alpha.tobytes()
+        assert mll(a.theta, X, y, nd) >= mll(default_hyperparams(d), X, y, nd)
+        # The default start's run wins on these data, so the cold starts
+        # themselves are checked: uniform over the box from default_rng(seed).
+        lo, hi = np.asarray(runs[0][1]).T
+        cold = lo + np.random.default_rng(7).random((FIT_RESTARTS - 1, k)) * (hi - lo)
+        starts = [x0 for x0, _ in runs]
+        assert len(starts) == 2 * FIT_RESTARTS
+        np.testing.assert_array_equal(starts[FIT_RESTARTS:], starts[:FIT_RESTARTS])
+        np.testing.assert_array_equal(starts[1:FIT_RESTARTS], cold)
 
     def test_deterministic_given_seed(self):
         rng = np.random.default_rng(10)
@@ -593,13 +629,6 @@ class TestFit:
 
 
 class TestPosterior:
-    def test_empty_model_returns_prior(self):
-        theta = default_hyperparams(2)
-        model = make_model(np.empty((0, 2)), [], theta)
-        summary = posterior(model, [[0.3, 0.7], [0.9, 0.1]])
-        np.testing.assert_array_equal(summary.means, [0.0, 0.0])
-        np.testing.assert_array_equal(summary.variances, [1.0, 1.0])
-
     def test_noise_free_interpolation(self):
         rng = np.random.default_rng(12)
         theta = GpHyperparams(KernelSpec("matern52", np.array([0.5, 0.5]), 1.0), MeanSpec(0.0), 0.0)
@@ -704,13 +733,31 @@ def fitted_model(fixed_noise, n=12, d=3, seed=0):
     return fit(X, (y - y.mean()) / y.std(), seed=seed, noise_diag=noise_diag)
 
 
+def mean_score(means, variances):
+    """The posterior mean as a score: partials 1 in the mean, 0 in the variance."""
+    return means, np.ones_like(means), np.zeros_like(variances)
+
+
+def variance_score(means, variances):
+    """The posterior variance as a score: partials 0 and 1."""
+    return variances, np.zeros_like(means), np.ones_like(variances)
+
+
+def posterior_grads(model, Xq):
+    """The mean, the variance and their gradients in x at (q, d) float
+    points Xq, by posterior_score."""
+    means, dmean = posterior_score(model, Xq, mean_score)
+    variances, dvar = posterior_score(model, Xq, variance_score)
+    return means, variances, dmean, dvar
+
+
 class TestPosteriorGrad:
     @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
     def test_matches_finite_differences(self, fixed_noise):
         for n, d in ((12, 3), (60, 6)):
             model = fitted_model(fixed_noise, n=n, d=d)
             Xq = np.random.default_rng(1).uniform(0.05, 0.95, (8, model.d))
-            _, dmean, dvar = posterior_grad(model, Xq)
+            _, _, dmean, dvar = posterior_grads(model, Xq)
             step = 1e-6
             fd_mean, fd_var = np.empty_like(dmean), np.empty_like(dvar)
             for j in range(model.d):
@@ -728,36 +775,28 @@ class TestPosteriorGrad:
         # (1 + sqrt5 r) exp(-sqrt5 r) has no 1/r term, so a query on a
         # training input gets a finite gradient.
         model = fitted_model(False)
-        _, dmean, dvar = posterior_grad(model, model.X[:3])
+        _, _, dmean, dvar = posterior_grads(model, model.X[:3])
         assert np.all(np.isfinite(dmean)) and np.all(np.isfinite(dvar))
 
     def test_summary_is_posterior_bitwise(self):
         model = fitted_model(False)
         Xq = np.random.default_rng(2).random((40, model.d))
-        summary, _, _ = posterior_grad(model, Xq)
+        means, variances, _, _ = posterior_grads(model, Xq)
         reference = posterior(model, Xq)
-        np.testing.assert_array_equal(summary.means, reference.means)
-        np.testing.assert_array_equal(summary.variances, reference.variances)
+        np.testing.assert_array_equal(means, reference.means)
+        np.testing.assert_array_equal(variances, reference.variances)
 
     @pytest.mark.parametrize("n,d", [(5, 2), (24, 3), (60, 5), (60, 6)])
     def test_batch_invariant(self, n, d):
         # The refine scores 1 to 8 points per call and the scatter 256.
         model = fitted_model(False, n=n, d=d, seed=n)
         Q = np.random.default_rng(3).random((256, d))
-        summary, dmean, dvar = posterior_grad(model, Q)
+        means, variances, dmean, dvar = posterior_grads(model, Q)
         for size in (1, 3, 24):
             for start in range(0, 256 - size + 1, 29):
                 part = slice(start, start + size)
-                one, dm, dv = posterior_grad(model, Q[part])
-                np.testing.assert_array_equal(one.means, summary.means[part])
-                np.testing.assert_array_equal(one.variances, summary.variances[part])
+                m, v, dm, dv = posterior_grads(model, Q[part])
+                np.testing.assert_array_equal(m, means[part])
+                np.testing.assert_array_equal(v, variances[part])
                 np.testing.assert_array_equal(dm, dmean[part])
                 np.testing.assert_array_equal(dv, dvar[part])
-
-    def test_empty_model_has_zero_gradient(self):
-        model = make_model(np.empty((0, 2)), [], default_hyperparams(2))
-        summary, dmean, dvar = posterior_grad(model, [[0.3, 0.7], [0.9, 0.1]])
-        np.testing.assert_array_equal(summary.variances, [1.0, 1.0])
-        np.testing.assert_array_equal(dmean, np.zeros((2, 2)))
-        np.testing.assert_array_equal(dvar, np.zeros((2, 2)))
-

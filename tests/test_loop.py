@@ -6,24 +6,20 @@ import numpy as np
 import pytest
 
 from gpbo import (
-    GeneratorKind,
-    NoCompletedTrialsError,
     Observation,
     ParameterSpec,
     SearchSpace,
-    TrialStatus,
     UsageError,
-    best_result,
     complete_trial,
-    encode,
     fail_trial,
-    fit_standardizer,
-    make_model,
     new_experiment,
     optimize,
     posterior,
     suggest,
 )
+from gpbo.gp import make_model
+from gpbo.loop import GeneratorKind, NoCompletedTrialsError, TrialStatus, best_result
+from gpbo.space import encode, fit_standardizer
 
 
 def unit_space(d=1):
@@ -118,7 +114,7 @@ class TestSuggest:
             complete_trial(exp, t.index, Observation(sum(t.arm.values.values())))
 
     def test_gp_fit_failure_falls_back_to_sobol(self, monkeypatch):
-        from gpbo import NumericalError
+        from gpbo.errors import NumericalError
         import gpbo.loop
 
         exp = new_experiment(unit_space(), seed=0)
@@ -333,7 +329,7 @@ class TestOptimize:
 
     def test_fit_after_a_failed_fit_starts_cold(self, monkeypatch):
         import gpbo.loop
-        from gpbo import NumericalError
+        from gpbo.errors import NumericalError
 
         starts = []
         real_fit = gpbo.loop.fit_gp

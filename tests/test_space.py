@@ -7,19 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbo import (
-    Arm,
-    DomainError,
-    Observation,
-    ParameterSpec,
-    SearchSpace,
-    SpaceError,
-    UsageError,
-    decode,
-    encode,
-    fit_standardizer,
-    validate_space,
-)
+from gpbo import Observation, ParameterSpec, SearchSpace, UsageError
+from gpbo.errors import DomainError, SpaceError
+from gpbo.space import Arm, decode, encode, fit_standardizer, validate_space
 
 
 def unit_space(*names):
