@@ -14,7 +14,13 @@ underflows to 0.  A run stops after 200 iterations or once a step raises
 its log-EI by less than 1e-5 of its magnitude (``ftol``).  Near a noisy
 optimum the posterior variance is about 1e-6 and log-EI carries about
 1e-5 of rounding noise, so a tighter ``ftol`` spends its steps in line
-searches that end on that noise.
+searches that end on that noise.  For the same reason one line search
+takes at most 8 evaluations (``maxls``, scipy's 20 by default).  Almost
+every accepted step takes 1 to 7.  A search that needs more is mostly
+lost in the noise: L-BFGS-B then clears its memory and tries one more,
+and the run ends on a failed line search.  At 20 such a start spent
+about 30 evaluations past its last iterate, and every lockstep step of
+its refine waited for it.
 
 A refined point replaces the best so far only if its EI, scored through
 the same :func:`posterior` path as the scatter, is strictly larger, so
@@ -72,7 +78,7 @@ def maximize_acquisition(
 
     runs = minimize_rows(
         objective, candidates[top], bounds=[(0.0, 1.0)] * d,
-        options={"maxiter": 200, "ftol": 1e-5},
+        options={"maxiter": 200, "ftol": 1e-5, "maxls": 8},
     )
     refined = np.clip([run.x for run in runs], 0.0, 1.0)
     for x, v in zip(refined, ei(posterior(model, refined), incumbent)):

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
 from .lbfgsb import minimize
-from .scipy_cores import dpotrf, dpotrs, dtrtri, dtrtrs
+from .scipy_cores import dpotrf, dpotrs, dtrtri
 from .sobol import MAX_DIMENSION, SobolEngine
 
 MATERN52 = "matern52"
@@ -237,6 +237,7 @@ class _MllParts(NamedTuple):
     value: float
     grad: np.ndarray | None
     chol: np.ndarray
+    chol_inv: np.ndarray | None
     alpha: np.ndarray
     jitter: float
 
@@ -257,10 +258,11 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
 
     Takes natural hyperparameters on precomputed squared differences
     (:func:`_sq_diffs`) and returns the mll, its gradient in the layout of
-    :func:`_pack` (None unless ``with_grad``), the Cholesky factor, alpha
-    and the jitter used.  ``noise`` is the fitted noise variance, a float
-    with a slot in the gradient, or a fixed (N,) diagonal without one.  A
-    multi-start fit makes thousands of calls, so it stays on raw LAPACK.
+    :func:`_pack` (None unless ``with_grad``), the Cholesky factor, its
+    inverse (None unless ``with_grad``), alpha and the jitter used.
+    ``noise`` is the fitted noise variance, a float with a slot in the
+    gradient, or a fixed (N,) diagonal without one.  A multi-start fit
+    makes thousands of calls, so it stays on raw LAPACK.
     Raises NumericalError when the jitter ladder is exhausted.
     """
     d, n, _ = diff2.shape
@@ -275,7 +277,7 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
         - 0.5 * n * _LOG_2PI
     )
     if not with_grad:
-        return _MllParts(value, None, L, alpha, jitter)
+        return _MllParts(value, None, L, None, alpha, jitter)
 
     # dL/dtheta = 1/2 tr(P dK~/dtheta) with P = alpha alpha' - K~^{-1}, and
     # dK/dlog l_j = radial * ls2_j * diff2_j.  K~^{-1} = W'W with W = L^{-1}
@@ -295,7 +297,7 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
     if fitted_noise:
         grad[d + 1] = 0.5 * noise * trace
     grad[-1] = float(np.sum(alpha))
-    return _MllParts(value, grad, L, alpha, jitter)
+    return _MllParts(value, grad, L, W, alpha, jitter)
 
 
 def _dataset(X, y, noise_diag):
@@ -332,11 +334,16 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
 
 
 def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
-    L = parts.chol
+    """The model of an evaluation, with L^{-1} from dtrtri: the gradient's
+    own inverse when it has one, so a fit and ``make_model`` at its theta
+    hold the same bits."""
+    chol_inv = parts.chol_inv
+    if chol_inv is None:
+        chol_inv = dtrtri(parts.chol, lower=1)[0]
     return GpModel(
         X=X,
         theta=theta,
-        chol_inv=dtrtrs(L, np.eye(L.shape[0]), lower=1)[0],
+        chol_inv=chol_inv,
         alpha=parts.alpha,
         jitter_used=parts.jitter,
     )

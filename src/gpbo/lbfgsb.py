@@ -25,9 +25,9 @@ import numpy as np
 
 from .scipy_cores import setulb
 
+# scipy's option defaults.
 MAXCOR = 10
 MAXLS = 20
-# scipy's option defaults.
 GTOL = 1e-5
 FTOL = 2.220446049250313e-09
 
@@ -52,9 +52,9 @@ class _Row:
         self.g, wa, iwa, self.task, lsave, isave, dsave, ln_task = work
         # setulb's arguments, in its order.  f and g are overwritten in
         # place with each value and gradient handed to setulb.
-        lo, hi, nbd, factr, gtol = shared
+        lo, hi, nbd, factr, gtol, maxls = shared
         self.args = (MAXCOR, x, lo, hi, nbd, self.f, self.g, factr, gtol, wa, iwa,
-                     self.task, lsave, isave, dsave, MAXLS, ln_task)
+                     self.task, lsave, isave, dsave, maxls, ln_task)
 
 
 def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
@@ -67,20 +67,22 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
     the point it was last evaluated at.  ``bounds`` is one ``(lo, hi)``
     pair per coordinate, shared by every row; ``x0`` is clipped into them
     and evaluated in one call before the first step.  ``options`` must
-    give ``maxiter`` and may give ``gtol`` and ``ftol``, which apply to
-    each row alone.  A row's ``success`` is set exactly when a tolerance
-    stopped it, not ``maxiter`` or a failed line search.
+    give ``maxiter`` and may give ``gtol``, ``ftol`` and ``maxls`` (the
+    most evaluations one line search may take, scipy's 20 by default),
+    which apply to each row alone.  A row's ``success`` is set exactly when
+    a tolerance stopped it, not ``maxiter`` or a failed line search.
     """
     # scipy's maxfun (15000) is left out: an iteration evaluates about
-    # 2 * MAXLS points at most (a line search, and one more after a failed
-    # one clears the memory), so it cannot bind at gpbo's maxiter of 200.
+    # 2 * maxls points at most (a line search, and one more after a failed
+    # one clears the memory), 40 at scipy's default, so it cannot bind at
+    # gpbo's maxiter of 200.
     maxiter = options["maxiter"]
     gtol = options.get("gtol", GTOL)
     factr = options.get("ftol", FTOL) / np.finfo(float).eps
     lo, hi = np.array(bounds, dtype=float).T.copy()
     X = np.clip(np.array(x0, dtype=float, ndmin=2), lo, hi)
     k, n = X.shape
-    shared = lo, hi, np.full(n, 2, np.int32), factr, gtol
+    shared = lo, hi, np.full(n, 2, np.int32), factr, gtol, options.get("maxls", MAXLS)
     # Each row's setulb work arrays are one row of these.
     work = zip(
         np.zeros((k, n)), np.zeros((k, 2 * MAXCOR * n + 5 * n + 11 * MAXCOR * MAXCOR + 8 * MAXCOR)),

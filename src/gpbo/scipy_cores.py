@@ -1,4 +1,4 @@
-"""The six compiled scipy functions gpbo calls, loaded without importing scipy.
+"""The five compiled scipy functions gpbo calls, loaded without importing scipy.
 
 Each function comes from the compiled module that defines it, loaded from
 its own file under the scipy package's directory, which
@@ -63,7 +63,7 @@ def load(name: str, public: str, *functions: str) -> tuple:
 
 
 (setulb,) = load("scipy.optimize._lbfgsb", "scipy.optimize._lbfgsb", "setulb")
-dpotrf, dpotrs, dtrtri, dtrtrs = load(
-    "scipy.linalg._flapack", "scipy.linalg.lapack", "dpotrf", "dpotrs", "dtrtri", "dtrtrs"
+dpotrf, dpotrs, dtrtri = load(
+    "scipy.linalg._flapack", "scipy.linalg.lapack", "dpotrf", "dpotrs", "dtrtri"
 )
 (erfcx,) = load("scipy.special._special_ufuncs", "scipy.special", "erfcx")

@@ -7,15 +7,21 @@ from gpbo import (
     GpHyperparams,
     KernelSpec,
     MeanSpec,
+    Observation,
+    ParameterSpec,
+    SearchSpace,
     SobolEngine,
     ei,
     incumbent_value,
     maximize_acquisition,
+    optimize,
     posterior,
 )
 import gpbo.acqopt
 import gpbo.gp
+import gpbo.loop
 from gpbo.acqopt import CANDIDATE_COUNT
+from gpbo.benchmarks import branin
 from gpbo.gp import make_model
 
 
@@ -25,6 +31,31 @@ def toy_model(seed, n=6, d=1, noise=0.01):
         KernelSpec("matern52", rng.uniform(0.15, 0.6, d), 1.0), MeanSpec(0.0), noise
     )
     return make_model(rng.random((n, d)), rng.standard_normal(n), theta)
+
+
+def noisy_branin_acquisitions(monkeypatch, seed):
+    """(model, incumbent, seed) of each acquisition at N >= 40 in one
+    60-trial ``optimize`` run on Branin with N(0, 0.1^2) noise, whose noise
+    is fitted."""
+    calls, original = [], gpbo.loop.maximize_acquisition
+
+    def recorded(model, incumbent, acq_seed):
+        if model.n >= 40:
+            calls.append((model, incumbent, acq_seed))
+        return original(model, incumbent, acq_seed)
+
+    rng = np.random.default_rng(seed)
+    space = SearchSpace([ParameterSpec.range_float("x1", -5.0, 10.0),
+                         ParameterSpec.range_float("x2", 0.0, 15.0)])
+
+    def evaluate(arm):
+        value = branin(arm.values["x1"], arm.values["x2"])
+        return Observation(value + 0.1 * float(rng.standard_normal()))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gpbo.loop, "maximize_acquisition", recorded)
+        optimize(space, evaluate, total_trials=60, seed=seed)
+    return calls
 
 
 def dense_oracle_max(model, incumbent):
@@ -127,24 +158,41 @@ class TestMaximizeAcquisition:
 
     def test_refine_tolerance_keeps_ei_of_default_tolerance(self, monkeypatch):
         # Each start's run stops at a relative reduction of 1e-5 in its
-        # log-EI.  The answer must be as good as runs to scipy's default
-        # ftol (about 2.2e-9): within 1e-4 relative EI on random models.
+        # log-EI, and after a line search of 8 evaluations fails.  The
+        # answer must be as good as runs at scipy's defaults (ftol about
+        # 2.2e-9, maxls 20): within 1e-4 relative EI on random models and
+        # on the fitted-noise models of a noisy Branin run at N >= 40, some
+        # of whose starts end on a failed line search.
         real_rows = gpbo.acqopt.minimize_rows
-        reference_runs = []
+        reference_runs, failed = [], []
 
-        def default_ftol(*args, options, **kwargs):
+        def capped(*args, options, **kwargs):
+            assert (options["ftol"], options["maxls"]) == (1e-5, 8)
+            results = real_rows(*args, options=options, **kwargs)
+            failed.append(any(not res.success and res.nit < options["maxiter"]
+                              for res in results))
+            return results
+
+        def scipy_defaults(*args, options, **kwargs):
             options.pop("ftol", None)
+            options.pop("maxls", None)
             reference_runs.append(options)
             return real_rows(*args, options=options, **kwargs)
 
         rng = np.random.default_rng(23)
-        cases = [(int(rng.choice([2, 5, 6])), int(rng.integers(10, 61))) for _ in range(20)]
-        for seed, (d, n) in enumerate(cases):
+        cases = []
+        for seed in range(20):
+            d, n = int(rng.choice([2, 5, 6])), int(rng.integers(10, 61))
             model = toy_model(seed, n=n, d=d)
-            incumbent = incumbent_value(model)
-            _, value = maximize_acquisition(model, incumbent, seed)
+            cases.append((model, incumbent_value(model), seed))
+        random_cases = len(cases)
+        cases += noisy_branin_acquisitions(monkeypatch, seed=0)
+        for model, incumbent, seed in cases:
             with monkeypatch.context() as patch:
-                patch.setattr(gpbo.acqopt, "minimize_rows", default_ftol)
+                patch.setattr(gpbo.acqopt, "minimize_rows", capped)
+                _, value = maximize_acquisition(model, incumbent, seed)
+                patch.setattr(gpbo.acqopt, "minimize_rows", scipy_defaults)
                 _, reference = maximize_acquisition(model, incumbent, seed)
             assert abs(value - reference) <= 1e-4 * reference
-        assert len(reference_runs) == len(cases)
+        assert len(reference_runs) == len(cases) > random_cases + 10
+        assert any(failed[random_cases:])

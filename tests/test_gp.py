@@ -215,8 +215,9 @@ def test_empty_history_rejected(entry):
 
 @pytest.mark.parametrize("n, duplicates", [(1, False), (5, False), (60, False), (6, True)])
 def test_chol_inv_is_solve_triangular_bitwise(n, duplicates):
-    """The model's inverse factor, from LAPACK's dtrtrs, is what
-    scipy.linalg.solve_triangular returns for the same factor."""
+    """The model's inverse factor is what scipy's public LAPACK dtrtri
+    returns for the same factor, bit for bit: the inverse the fit's
+    gradient forms, which it keeps."""
     rng = np.random.default_rng(n)
     X = rng.random((n, 3))
     if duplicates:
@@ -230,8 +231,10 @@ def test_chol_inv_is_solve_triangular_bitwise(n, duplicates):
         _sq_diffs(X), y, spec.lengthscales, spec.signal_variance, theta.noise_variance,
         theta.mean.constant, False,
     ).chol
-    ref = scipy.linalg.solve_triangular(L, np.eye(n), lower=True)
+    ref, info = scipy.linalg.lapack.dtrtri(L, lower=1)
+    assert info == 0
     assert model.chol_inv.tobytes() == ref.tobytes()
+    np.testing.assert_allclose(model.chol_inv @ L, np.eye(n), atol=1e-12)
 
 
 class TestMll:

@@ -65,7 +65,7 @@ print(sorted(m.split(".")[-1] for m in sys.modules if m == "scipy" or m.startswi
 # (compiled module, the gpbo module that imports from it, its functions)
 CORES = [
     ("scipy.optimize._lbfgsb", "gpbo.lbfgsb", ("setulb",)),
-    ("scipy.linalg._flapack", "gpbo.gp", ("dpotrf", "dpotrs", "dtrtri", "dtrtrs")),
+    ("scipy.linalg._flapack", "gpbo.gp", ("dpotrf", "dpotrs", "dtrtri")),
     ("scipy.special._special_ufuncs", "gpbo.acquisition", ("erfcx",)),
 ]
 # Where scipy's public code reaches each function.  (When gpbo loads first,
