@@ -32,13 +32,13 @@ against the ``src/`` of the checkout this script belongs to (or the one
   own cost per evaluation, apart from any objective.
 
 Next to each ``fit`` timing are its numbers of ``_mll_core`` calls
-(``mll_core_calls``) and of L-BFGS-B runs (``lbfgs_runs``).  Next to
+(``mll_core_calls``: the scoring calls and the runs' ``nfev`` in the
+model's ``fit_record``) and of L-BFGS-B runs (``lbfgs_runs``).  Next to
 each ``maximize_acquisition`` timing are the refine's batched steps
-(``refine_steps``: calls of ``posterior_score``), the rows they evaluate
-(``refine_rows``), and how each L-BFGS-B run ended (``refine_ends``),
-with its evaluations (``refine_evals``): ``converged`` (``success``),
-``line_search_failed`` (not ``success`` and ``nit`` below ``maxiter``)
-or ``maxiter``.  The counts are deterministic, so unlike the timings
+(``refine_steps``: its longest row's ``nfev``), the rows they evaluate
+(``refine_rows``: all rows' ``nfev``), and how each L-BFGS-B run ended
+(``refine_ends``, its result's ``end``), with its evaluations
+(``refine_evals``).  The counts are deterministic, so unlike the timings
 they do not move with host drift.
 
 Prints one JSON line with the timings, ``nproc`` and the Python, numpy
@@ -126,71 +126,39 @@ def timed_inside(module, name: str, call, scale: float) -> dict:
     return quartiles(times)
 
 
-def counted(module, name: str, call) -> int:
-    """How many times one ``call`` calls ``module.name``."""
-    original = getattr(module, name)
-    calls = 0
-
-    def wrapper(*args, **kwargs):
-        nonlocal calls
-        calls += 1
-        return original(*args, **kwargs)
-
-    setattr(module, name, wrapper)
-    try:
-        call()
-    finally:
-        setattr(module, name, original)
-    return calls
-
-
 @contextlib.contextmanager
-def refine_counts(acqopt):
-    """While open, count the acquisition refine's batched steps (calls of
-    ``posterior_score``), the rows they evaluate, and each L-BFGS-B run's
-    end with its evaluations.  ``acqopt`` is the ``gpbo.acqopt`` module.
-    """
-    counts = {"refine_steps": 0, "refine_rows": 0,
-              "refine_ends": dict.fromkeys(REFINE_ENDS, 0),
-              "refine_evals": dict.fromkeys(REFINE_ENDS, 0)}
-    score, rows = acqopt.posterior_score, acqopt.minimize_rows
-
-    def counted_step(model, Z, *args):
-        counts["refine_steps"] += 1
-        counts["refine_rows"] += len(Z)
-        return score(model, Z, *args)
-
-    def run(*args, options, **kwargs):
-        results = rows(*args, options=options, **kwargs)
-        for res in results:
-            end = ("converged" if res.success else
-                   "maxiter" if res.nit >= options["maxiter"] else "line_search_failed")
-            counts["refine_ends"][end] += 1
-            counts["refine_evals"][end] += res.nfev
-        return results
-
-    acqopt.posterior_score, acqopt.minimize_rows = counted_step, run
-    try:
-        yield counts
-    finally:
-        acqopt.posterior_score, acqopt.minimize_rows = score, rows
-
-
-def refine_objective(acqopt, call):
-    """The objective that one ``call`` of ``maximize_acquisition`` hands
-    ``acqopt.minimize_rows``."""
-    original, objectives = acqopt.minimize_rows, []
+def refines(acqopt):
+    """While open, list the objective and the row results of each
+    acquisition refine, as ``maximize_acquisition`` hands them to and gets
+    them from ``acqopt.minimize_rows``.  ``acqopt`` is the ``gpbo.acqopt``
+    module."""
+    original, log = acqopt.minimize_rows, []
 
     def capture(fun, *args, **kwargs):
-        objectives.append(fun)
-        return original(fun, *args, **kwargs)
+        log.append((fun, original(fun, *args, **kwargs)))
+        return log[-1][1]
 
     acqopt.minimize_rows = capture
     try:
-        call()
+        yield log
     finally:
         acqopt.minimize_rows = original
-    return objectives[0]
+
+
+def refine_counts(log) -> dict:
+    """The lockstep steps of the refines in ``log`` (each refine's longest
+    row's ``nfev``), the rows they evaluate (all rows' ``nfev``), and each
+    L-BFGS-B run's end with its evaluations."""
+    counts = {"refine_steps": 0, "refine_rows": 0,
+              "refine_ends": dict.fromkeys(REFINE_ENDS, 0),
+              "refine_evals": dict.fromkeys(REFINE_ENDS, 0)}
+    for _, results in log:
+        counts["refine_steps"] += max(res.nfev for res in results)
+        counts["refine_rows"] += sum(res.nfev for res in results)
+        for res in results:
+            counts["refine_ends"][res.end] += 1
+            counts["refine_evals"][res.end] += res.nfev
+    return counts
 
 
 def dataset(n: int, d: int, seed: int, fixed_noise: bool):
@@ -244,13 +212,14 @@ def measure(src: Path) -> dict:
 
         for layer, start in (("fit_ms", warm), ("fit_cold_ms", None)):
             def fit_once(start=start):
-                fit(X, y, seed=2, noise_diag=nd, start=start)
+                return fit(X, y, seed=2, noise_diag=nd, start=start)
 
+            record = fit_once().fit_record
             out[layer][name] = dict(
                 timed(fit_once, 1e3),
                 mll_core_ms=timed_inside(gpbo.gp, "_mll_core", fit_once, 1e3),
-                mll_core_calls=counted(gpbo.gp, "_mll_core", fit_once),
-                lbfgs_runs=counted(gpbo.gp, "minimize", fit_once),
+                mll_core_calls=record.scored + sum(run.nfev for run in record.runs),
+                lbfgs_runs=len(record.runs),
             )
         queries = np.random.default_rng(4).random((256, d))
         out["posterior_256_us"][name] = timed(lambda: posterior(model, queries), 1e6)
@@ -259,13 +228,12 @@ def measure(src: Path) -> dict:
         def maximize_once():
             maximize_acquisition(model, incumbent, seed=3)
 
-        objective = refine_objective(gpbo.acqopt, maximize_once)
+        with refines(gpbo.acqopt) as log:
+            maximize_once()
+        objective = log[0][0]
         out["refine_eval_us"][name] = dict(timed(lambda: objective(queries[:8]), 1e6),
                                            one_row=timed(lambda: objective(queries[:1]), 1e6))
-
-        with refine_counts(gpbo.acqopt) as counts:
-            maximize_once()
-        out["maximize_ms"][name] = dict(timed(maximize_once, 1e3), **counts)
+        out["maximize_ms"][name] = dict(timed(maximize_once, 1e3), **refine_counts(log))
     out["sobol_1024_ms"] = timed(lambda: SobolEngine(5).next(1024), 1e3)
     out["lbfgsb_us_per_eval"] = optimizer_cost(gpbo.gp.minimize)
     out.update(

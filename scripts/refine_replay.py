@@ -14,16 +14,17 @@ is the best EI of those points and of the scatter; the shortfall of the
 checkout's answer is (reference - answer) / reference, relative EI.
 
 Per workload it prints the acquisitions replayed; the shortfalls beyond
-1e-4 and beyond 1e-2, and the worst one; the refine's batched steps
-(``posterior_score`` calls) and the rows they evaluated during the
-recorded runs; and the share of refine evaluations spent in L-BFGS-B
-runs that ended with a failed line search (ABNORMAL: not ``success`` and
-``nit`` below ``maxiter``), counted as ``scripts/layer_bench.py`` counts
-them.  A second line gives the median and 93rd percentile of lockstep
-steps per refine (the longest row of each refine sets its steps) and the
-rows that ended on a failed line search, with how many of them took how
-many evaluations since their last iterate: the evaluations spent in the
-line searches that failed.  The last line is the same table as JSON.
+1e-4 and beyond 1e-2, and the worst one; the refine's batched steps and
+the rows they evaluated during the recorded runs; and the share of
+refine evaluations spent in L-BFGS-B runs that ended on a failed line
+search (ABNORMAL), all read from the refines' row results as
+``scripts/layer_bench.py`` reads them.  A second line gives the median
+and 93rd percentile of lockstep steps per refine (the longest row of
+each refine sets its steps) and the rows that ended on a failed line
+search, with how many of them took how many evaluations after their
+last iterate was evaluated (each result's ``tail``): the evaluations
+spent in the line searches that failed.  The last line is the same table
+as JSON.
 
 ``--src DIR`` replays the gpbo package under DIR instead of this
 checkout's, for example a parent checkout's ``src/``.
@@ -36,14 +37,13 @@ Usage:
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
 
-from layer_bench import SRC, refine_counts  # also pins BLAS to one thread
+from layer_bench import SRC, refine_counts, refines  # also pins BLAS to one thread
 
 import numpy as np
 
@@ -112,57 +112,24 @@ def reference(model, incumbent: float, seed: int) -> float:
     return best
 
 
-@contextlib.contextmanager
-def refine_runs(acqopt):
-    """While open, list each refine's lockstep steps and, for each row that
-    ended on a failed line search, its evaluations since its last iterate.
-    ``acqopt`` is the ``gpbo.acqopt`` module."""
-    log = {"steps": [], "failed_tails": []}
-    rows = acqopt.minimize_rows
-
-    def run(fun, x0, *, bounds, options):
-        batches = []
-
-        def recorded(X):
-            batches.append(X.copy())
-            return fun(X)
-
-        results = rows(recorded, x0, bounds=bounds, options=options)
-        log["steps"].append(len(batches))
-        for i, res in enumerate(results):
-            if res.success or res.nit >= options["maxiter"]:
-                continue
-            # Step s evaluates point s of every row with more than s
-            # evaluations, in row order.  A failed line search restores the
-            # last iterate as res.x, first evaluated when it was reached (a
-            # search whose step shrinks to nothing may evaluate it again).
-            points = [batch[sum(r.nfev > s for r in results[:i])]
-                      for s, batch in enumerate(batches[:res.nfev])]
-            reached = next(s for s, x in enumerate(points) if np.array_equal(x, res.x))
-            log["failed_tails"].append(res.nfev - 1 - reached)
-        return results
-
-    acqopt.minimize_rows = run
-    try:
-        yield log
-    finally:
-        acqopt.minimize_rows = rows
-
-
 def replay(name: str, out_root: Path) -> dict:
     """One workload's shortfalls and refine counts over its seeds."""
     import gpbo.acqopt
 
     calls = []
-    with refine_counts(gpbo.acqopt) as counts, refine_runs(gpbo.acqopt) as runs:
+    with refines(gpbo.acqopt) as log:
         for seed in SEEDS[name]:
             calls += record(name, seed, out_root)
     shortfalls = []
     for model, incumbent, seed, value in calls:
         ref = reference(model, incumbent, seed)
         shortfalls.append(max(0.0, (ref - value) / ref) if ref > 0 else 0.0)
+    counts = refine_counts(log)
     evals = counts["refine_evals"]
-    steps_median, steps_p93 = np.percentile(runs["steps"], [50, 93]) if runs["steps"] else (0, 0)
+    steps = [max(res.nfev for res in results) for _, results in log]
+    failed_tails = [res.tail for _, results in log for res in results
+                    if res.end == "line_search_failed"]
+    steps_median, steps_p93 = np.percentile(steps, [50, 93]) if steps else (0, 0)
     return {
         "seeds": list(SEEDS[name]),
         "acquisitions": len(calls),
@@ -171,9 +138,9 @@ def replay(name: str, out_root: Path) -> dict:
         **counts,
         "abnormal_share": round(evals["line_search_failed"] / max(sum(evals.values()), 1), 4),
         "steps_per_refine": {"median": float(steps_median), "p93": float(steps_p93)},
-        "failed_rows": len(runs["failed_tails"]),
-        # evaluations since the last iterate -> rows that ended so
-        "failed_row_tails": dict(sorted(Counter(runs["failed_tails"]).items())),
+        "failed_rows": len(failed_tails),
+        # evaluations after the last iterate -> rows that ended so
+        "failed_row_tails": dict(sorted(Counter(failed_tails).items())),
     }
 
 
@@ -200,7 +167,7 @@ def main() -> int:
             steps = row["steps_per_refine"]
             print(f"  lockstep steps per refine: median {steps['median']:g}, p93 "
                   f"{steps['p93']:g}; {row['failed_rows']} rows ended on a failed line "
-                  f"search, by evaluations since their last iterate: {tails or 'none'}",
+                  f"search, by evaluations after their last iterate: {tails or 'none'}",
                   flush=True)
     print(json.dumps(report))
     return 0

@@ -43,7 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
-from .lbfgsb import minimize
+from .lbfgsb import LbfgsbResult, minimize
 from .scipy_cores import dpotrf, dpotrs, dtrtri
 from .sobol import MAX_DIMENSION, SobolEngine
 
@@ -119,6 +119,15 @@ def default_hyperparams(d: int) -> GpHyperparams:
     )
 
 
+class FitRecord(NamedTuple):
+    """The work of one :func:`fit`: ``runs`` holds each L-BFGS-B run's
+    result, in start order, and ``scored`` counts the mll evaluations made
+    outside them (the losing start's score when one run is made, else 0)."""
+
+    scored: int
+    runs: tuple[LbfgsbResult, ...]
+
+
 @dataclass(frozen=True, eq=False)
 class GpModel:
     """A GP on a nonempty history with its cached factorization.
@@ -127,6 +136,8 @@ class GpModel:
     ``theta.noise_variance`` I, or a fixed per-observation diagonal in its
     place), ``chol_inv`` is L^{-1}, computed once so that each posterior
     query is a matrix product, and ``alpha`` solves (L L') alpha = y - m.
+    ``fit_record`` is the work of the :func:`fit` that chose ``theta``,
+    or None for a model built at given hyperparameters.
     """
 
     X: np.ndarray
@@ -134,6 +145,7 @@ class GpModel:
     chol_inv: np.ndarray
     alpha: np.ndarray
     jitter_used: float
+    fit_record: FitRecord | None = None
 
     @property
     def n(self) -> int:
@@ -333,7 +345,7 @@ def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllPa
     )
 
 
-def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
+def _assemble(X, theta: GpHyperparams, parts: _MllParts, fit_record=None) -> GpModel:
     """The model of an evaluation, with L^{-1} from dtrtri: the gradient's
     own inverse when it has one, so a fit and ``make_model`` at its theta
     hold the same bits."""
@@ -346,6 +358,7 @@ def _assemble(X, theta: GpHyperparams, parts: _MllParts) -> GpModel:
         chol_inv=chol_inv,
         alpha=parts.alpha,
         jitter_used=parts.jitter,
+        fit_record=fit_record,
     )
 
 
@@ -476,7 +489,8 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     mll is refined, the default on a tie; its score is the run's first
     evaluation, so no point is evaluated twice.  The returned model keeps
     the factorization computed at the winning hyperparameters, which
-    ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise.
+    ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise, and
+    the fit's work as ``model.fit_record``.
 
     When ``noise_diag`` is given (per-observation noise variances), the
     noise is fixed rather than fitted.  A ``start`` from such a fit has
@@ -536,7 +550,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             best_z, best = np.array(z), parts
         return -parts.value, -parts.grad
 
-    failures = []
+    failures, runs, scored = [], [], 0
     starts, scores = _start_points(lo, hi, seed, given, cold), []
     if cold == 0:
         # A trusted warm start: score it and the default, and refine only
@@ -549,22 +563,22 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             starts = []
         else:
             pick = int(scores[1][0] < scores[0][0])
-            starts, scores = [given[pick]], [scores[pick]]
+            starts, scores, scored = [given[pick]], [scores[pick]], 1
     for idx, z0 in enumerate(starts):
         try:
-            minimize(
+            runs.append(minimize(
                 lambda z: scores.pop() if scores else objective(z),
                 z0,
                 bounds=box.bounds,
                 options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},
-            )
+            ))
         except (np.linalg.LinAlgError, ValueError) as exc:
             failures.append(f"restart {idx}: {exc}")
     if best is None:
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}
         )
-    return _assemble(X, _unpack(best_z, d, with_noise), best)
+    return _assemble(X, _unpack(best_z, d, with_noise), best, FitRecord(scored, tuple(runs)))
 
 
 def _queries(model: GpModel, Xq) -> np.ndarray:

@@ -33,21 +33,31 @@ FTOL = 2.220446049250313e-09
 
 
 class LbfgsbResult(NamedTuple):
+    """One run's last iterate ``x`` and its work.  ``end`` is ``"converged"``,
+    ``"maxiter"`` or ``"line_search_failed"``, and ``tail`` counts the
+    evaluations made after ``x`` was evaluated as the last iterate (the
+    start is the first): the failed line searches' evaluations, else 0."""
+
     x: np.ndarray
-    fun: float
+    end: str
     nfev: int
     nit: int
-    success: bool
+    tail: int
+
+    @property
+    def success(self) -> bool:
+        return self.end == "converged"
 
 
 class _Row:
     """One start's ``setulb`` state, its last evaluation and its counts."""
 
-    __slots__ = ("x", "f", "g", "task", "args", "seen_x", "seen_f", "seen_g", "nfev", "nit")
+    __slots__ = ("x", "f", "g", "task", "args", "seen_x", "seen_f", "seen_g", "nfev", "nit",
+                 "iterate_nfev")
 
     def __init__(self, x, f, g, shared, work):
         self.x, self.seen_x, self.seen_f, self.seen_g = x, x.tolist(), f, g
-        self.nfev, self.nit = 1, 0
+        self.nfev, self.nit, self.iterate_nfev = 1, 0, 1
         self.f = np.array(0.0)
         self.g, wa, iwa, self.task, lsave, isave, dsave, ln_task = work
         # setulb's arguments, in its order.  f and g are overwritten in
@@ -69,8 +79,8 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
     and evaluated in one call before the first step.  ``options`` must
     give ``maxiter`` and may give ``gtol``, ``ftol`` and ``maxls`` (the
     most evaluations one line search may take, scipy's 20 by default),
-    which apply to each row alone.  A row's ``success`` is set exactly when
-    a tolerance stopped it, not ``maxiter`` or a failed line search.
+    which apply to each row alone.  A row's ``end`` names scipy's
+    ``status``: 0 converged, 1 maxiter and 2 line_search_failed.
     """
     # scipy's maxfun (15000) is left out: an iteration evaluates about
     # 2 * maxls points at most (a line search, and one more after a failed
@@ -109,8 +119,9 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
                     # setulb may write g, so it gets a fresh copy each time.
                     row.f[()] = row.seen_f
                     row.g[:] = row.seen_g
-                elif state == 1:  # a new iterate
+                elif state == 1:  # a new iterate, evaluated last
                     row.nit += 1
+                    row.iterate_nfev = row.nfev
                     if row.nit >= maxiter:
                         task[0], task[1] = 5, 504
                 else:
@@ -124,7 +135,11 @@ def minimize_rows(fun, x0, bounds, options) -> list[LbfgsbResult]:
             row.g[:] = g
             row.nfev += 1
         running = waiting
-    return [LbfgsbResult(row.x, row.seen_f, row.nfev, row.nit, bool(row.task[0] == 4))
+    # setulb's task 4 is CONVERGENCE and 5 the STOP set at maxiter; on a
+    # finite box it ends otherwise only ABNORMAL, on a failed line search.
+    ends = {4: "converged", 5: "maxiter"}
+    return [LbfgsbResult(row.x, ends.get(int(row.task[0]), "line_search_failed"), row.nfev,
+                         row.nit, row.nfev - row.iterate_nfev)
             for row in rows]
 
 

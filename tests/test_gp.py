@@ -46,6 +46,17 @@ def random_theta(rng, d, noise=None):
     )
 
 
+def layer_bench_dataset(n, d, fixed_noise):
+    """A dataset of scripts/layer_bench.py: a smooth noisy objective on n
+    uniform random points seeded n + d, standardized."""
+    rng = np.random.default_rng(n + d)
+    X = rng.random((n, d))
+    f = np.sin(6.0 * X[:, 0]) + np.sum((X - 0.4) ** 2, axis=1)
+    y = f + 0.1 * rng.standard_normal(n)
+    y = (y - y.mean()) / y.std()
+    return X, y, np.full(n, 0.01) if fixed_noise else None
+
+
 def expected_runs(start):
     """L-BFGS-B runs of one fit under the start rule: the default start, the
     warm start when given, and the Sobol starts when the warm start is
@@ -395,9 +406,13 @@ class TestFit:
         # outside the run: the winner's score is its run's first
         # evaluation.  The starts cycle through none, an interior one and
         # one with a lengthscale on its upper bound, so each run count is
-        # exercised.
+        # exercised; then come scripts/layer_bench.py's datasets of this
+        # noise mode, cold and warm (a warm theta's lengthscale may round to
+        # just below its bound, which expected_runs would not read as doubt,
+        # so its run count is not predicted).  The model's fit_record
+        # reports the same work: the scoring calls and each run's result.
         real_core, real_minimize = gpbo.gp._mll_core, gpbo.gp.minimize
-        calls, values, nfevs = [], [], []
+        calls, values, runs = [], [], []
 
         def core(*args):
             calls.append(args)
@@ -406,13 +421,13 @@ class TestFit:
             return parts
 
         def counted_minimize(*args, **kwargs):
-            res = real_minimize(*args, **kwargs)
-            nfevs.append(res.nfev)
-            return res
+            runs.append(real_minimize(*args, **kwargs))
+            return runs[-1]
 
         monkeypatch.setattr(gpbo.gp, "_mll_core", core)
         monkeypatch.setattr(gpbo.gp, "minimize", counted_minimize)
         rng = np.random.default_rng(19)
+        cases = []
         for case in range(6):
             n, d = int(rng.integers(5, 40)), int(rng.integers(1, 4))
             X, y = rng.random((n, d)), rng.standard_normal(n)
@@ -420,13 +435,26 @@ class TestFit:
             start = None if case % 3 == 0 else random_theta(rng, d)
             if case % 3 == 2:
                 start.kernel.lengthscales[0] = LENGTHSCALE_BOUNDS[1]
-            for log in (calls, values, nfevs):
+            cases.append((X, y, noise_diag, start, expected_runs(start)))
+        for n, d in [(30, 5)] if fixed_noise else [(60, 2), (60, 6)]:
+            X, y, noise_diag = layer_bench_dataset(n, d, fixed_noise)
+            warm = fit(X[:-1], y[:-1], seed=1,
+                       noise_diag=None if noise_diag is None else noise_diag[:-1]).theta
+            cases += [(X, y, noise_diag, None, FIT_RESTARTS), (X, y, noise_diag, warm, None)]
+        for X, y, noise_diag, start, expected in cases:
+            for log in (calls, values, runs):
                 log.clear()
             model = fit(X, y, seed=2, noise_diag=noise_diag, start=start)
-            assert len(nfevs) == expected_runs(start)
+            nfevs = [res.nfev for res in runs]
+            assert expected is None or len(nfevs) == expected
             assert len(calls) == sum(nfevs) + (len(nfevs) == 1)
+            record = model.fit_record
+            assert record.scored + sum(run.nfev for run in record.runs) == len(calls)
+            assert [run.nfev for run in record.runs] == nfevs
+            assert all(run is res for run, res in zip(record.runs, runs))
             best = max(v for v in values if np.isfinite(v))
             assert mll(model.theta, X, y, noise_diag=noise_diag) == best
+            assert make_model(X, y, model.theta, noise_diag).fit_record is None
 
     @pytest.mark.parametrize("fixed_noise", [False, True], ids=["fitted-noise", "fixed-noise"])
     def test_search_box_and_clipped_warm_start(self, monkeypatch, fixed_noise):

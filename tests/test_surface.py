@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gpbo
 import gpbo.cli
+import gpbo.gp
 import gpbo.loop
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -47,7 +49,8 @@ MODULE_ONLY = {
     "gpbo.errors": ["ConfigError", "ConfigFileError", "ConfigParseError", "ConfigSchemaError",
                     "DomainError", "EvaluatorFault", "GpboError", "NumericalError",
                     "NumericsWarning", "SpaceError"],
-    "gpbo.gp": ["GpModel", "PosteriorSummary", "factorize", "make_model", "mll_grad"],
+    "gpbo.gp": ["FitRecord", "GpModel", "PosteriorSummary", "factorize", "make_model",
+                "mll_grad"],
     "gpbo.loop": ["BestResult", "Experiment", "GeneratorKind", "NoCompletedTrialsError",
                   "TrialStatus", "best_result"],
     "gpbo.space": ["Arm", "Standardizer", "decode", "encode", "fit_standardizer",
@@ -79,7 +82,7 @@ def test_every_export_is_documented_or_read_by_the_benchmark():
 
 
 def test_module_only_names_import_from_their_modules():
-    assert sum(map(len, MODULE_ONLY.values())) == 27
+    assert sum(map(len, MODULE_ONLY.values())) == 28
     for module, names in MODULE_ONLY.items():
         for name in names:
             assert name not in gpbo.__all__, name
@@ -97,13 +100,24 @@ def test_script_help_runs_in_a_fresh_interpreter(script):
 def test_benchmark_tracer_finds_every_entry_point(monkeypatch):
     # Entering a Tracer resolves every entry point it wraps and raises
     # TraceError for one that was removed or moved; leaving restores them.
+    # Inside, a warm fit's L-BFGS-B runs read as the tracer reads them
+    # (nfev and success) as they do in the fit's own record.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     tracing = importlib.import_module("tracing")
     suggest = gpbo.loop.suggest
-    with tracing.Tracer():
+    rng = np.random.default_rng(7)
+    X = rng.random((20, 2))
+    y = np.sin(5.0 * X[:, 0]) + X[:, 1] + 0.1 * rng.standard_normal(20)
+    y = (y - y.mean()) / y.std()
+    warm = gpbo.gp.fit(X[:-1], y[:-1]).theta
+    with tracing.Tracer() as tracer:
         assert gpbo.loop.suggest is not suggest
+        model = gpbo.gp.fit(X, y, start=warm)
     assert gpbo.loop.suggest is suggest
+    assert (model.fit_record.scored, len(model.fit_record.runs)) == (1, 1)
+    assert [(nfev, success) for nfev, success, _ in tracer.lbfgs] == [
+        (run.nfev, run.success) for run in model.fit_record.runs]
 
 
 def test_readme_ask_tell_example_runs():
