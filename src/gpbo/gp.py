@@ -8,11 +8,12 @@ standardized by the caller.  The model is
 with a constant mean m and a stationary Matern-5/2 ARD kernel.  Inference
 is dense.  One routine builds K + sigma2*I, factorizes it through the one
 jitter ladder (:func:`factorize`, which escalates a diagonal jitter for
-near-singular covariances such as duplicate inputs), and returns the mll,
-its gradient, the Cholesky factor and alpha.  Fitting, :func:`mll`,
-:func:`mll_grad` and :func:`make_model` all call it; a model keeps the
-inverse of the factor found at its hyperparameters, computed once, and
-:func:`posterior` answers every query from that inverse and alpha.
+near-singular covariances such as duplicate inputs), and returns, every
+time, the mll, its gradient, the Cholesky factor, the factor's inverse
+(formed once, for the gradient) and alpha.  Fitting, :func:`mll`,
+:func:`mll_grad` and :func:`make_model` all make that one evaluation; a
+model keeps the inverse and alpha found at its hyperparameters, and
+:func:`posterior` answers every query from them.
 
 Hyperparameters theta = (lengthscales, signal variance, noise variance,
 mean) are chosen by maximizing, from the default theta and an optional warm
@@ -247,9 +248,9 @@ def factorize(K: np.ndarray, noise):
 
 class _MllParts(NamedTuple):
     value: float
-    grad: np.ndarray | None
+    grad: np.ndarray
     chol: np.ndarray
-    chol_inv: np.ndarray | None
+    chol_inv: np.ndarray
     alpha: np.ndarray
     jitter: float
 
@@ -265,16 +266,17 @@ def _sq_diffs(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
-    """The marginal-likelihood routine behind fit, mll, mll_grad and make_model.
+def _mll_core(diff2, y, lengthscales, s2, noise, m) -> _MllParts:
+    """The one marginal-likelihood evaluation, behind fit, mll, mll_grad and
+    make_model.
 
     Takes natural hyperparameters on precomputed squared differences
     (:func:`_sq_diffs`) and returns the mll, its gradient in the layout of
-    :func:`_pack` (None unless ``with_grad``), the Cholesky factor, its
-    inverse (None unless ``with_grad``), alpha and the jitter used.
-    ``noise`` is the fitted noise variance, a float with a slot in the
-    gradient, or a fixed (N,) diagonal without one.  A multi-start fit
-    makes thousands of calls, so it stays on raw LAPACK.
+    :func:`_pack`, the Cholesky factor, its inverse (the gradient's, which
+    a model keeps), alpha and the jitter used.  ``noise`` is the fitted
+    noise variance, a float with a slot in the gradient, or a fixed (N,)
+    diagonal without one.  A multi-start fit makes thousands of calls, so
+    it stays on raw LAPACK.
     Raises NumericalError when the jitter ladder is exhausted.
     """
     d, n, _ = diff2.shape
@@ -288,9 +290,6 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
         - float(np.log(L.diagonal()).sum())
         - 0.5 * n * _LOG_2PI
     )
-    if not with_grad:
-        return _MllParts(value, None, L, None, alpha, jitter)
-
     # dL/dtheta = 1/2 tr(P dK~/dtheta) with P = alpha alpha' - K~^{-1}, and
     # dK/dlog l_j = radial * ls2_j * diff2_j.  K~^{-1} = W'W with W = L^{-1}
     # from dtrtri; numpy forms W'W by one symmetric rank-k update, so it is
@@ -313,12 +312,15 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m, with_grad) -> _MllParts:
 
 
 def _dataset(X, y, noise_diag):
-    """The history as float arrays X (N, d), y (N,) and noise_diag (N,) or None."""
+    """The history as float arrays X (N, d), y (N,) and noise_diag (N,) or
+    None, with N >= 1."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
     if y.shape != (n,):
         raise SpaceError(f"y must have shape ({n},), one entry per row of X, got {y.shape}")
+    if n < 1:
+        raise UsageError("a GP needs at least one observation")
     if noise_diag is None:
         return X, y, None
     nd = np.asarray(noise_diag, dtype=float)
@@ -327,44 +329,25 @@ def _dataset(X, y, noise_diag):
     return X, y, nd
 
 
-def _evaluate(theta: GpHyperparams, X, y, noise_diag, with_grad: bool) -> _MllParts:
-    """Run the core routine at theta on a dataset from :func:`_dataset`."""
-    n = X.shape[0]
-    if n < 1:
-        raise UsageError("a GP needs at least one observation")
+def _evaluate(theta: GpHyperparams, X, y, noise_diag) -> tuple[np.ndarray, _MllParts]:
+    """The history's X from :func:`_dataset` and the core routine run at
+    theta on it."""
+    X, y, nd = _dataset(X, y, noise_diag)
     spec = theta.kernel
     if X.shape[1] != spec.lengthscales.shape[0]:
         raise SpaceError(
             f"inputs have {X.shape[1]} columns, kernel has "
             f"{spec.lengthscales.shape[0]} lengthscales"
         )
-    return _mll_core(
+    return X, _mll_core(
         _sq_diffs(X), y, spec.lengthscales, spec.signal_variance,
-        theta.noise_variance if noise_diag is None else noise_diag,
-        theta.mean.constant, with_grad,
-    )
-
-
-def _assemble(X, theta: GpHyperparams, parts: _MllParts, fit_record=None) -> GpModel:
-    """The model of an evaluation, with L^{-1} from dtrtri: the gradient's
-    own inverse when it has one, so a fit and ``make_model`` at its theta
-    hold the same bits."""
-    chol_inv = parts.chol_inv
-    if chol_inv is None:
-        chol_inv = dtrtri(parts.chol, lower=1)[0]
-    return GpModel(
-        X=X,
-        theta=theta,
-        chol_inv=chol_inv,
-        alpha=parts.alpha,
-        jitter_used=parts.jitter,
-        fit_record=fit_record,
+        theta.noise_variance if nd is None else nd, theta.mean.constant,
     )
 
 
 def mll(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> float:
     """Log marginal likelihood of the targets under theta."""
-    return _evaluate(theta, *_dataset(X, y, noise_diag), False).value
+    return _evaluate(theta, X, y, noise_diag)[1].value
 
 
 def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None) -> np.ndarray:
@@ -375,13 +358,13 @@ def mll_grad(theta: GpHyperparams, X: np.ndarray, y: np.ndarray, noise_diag=None
     as ``noise_diag``.  Uses the standard trace identity
     dL/dtheta = 1/2 tr((alpha alpha' - K~^{-1}) dK~/dtheta).
     """
-    return _evaluate(theta, *_dataset(X, y, noise_diag), True).grad
+    return _evaluate(theta, X, y, noise_diag)[1].grad
 
 
 def make_model(X, y, theta: GpHyperparams, noise_diag=None) -> GpModel:
     """Assemble a GpModel for given hyperparameters (no fitting), N >= 1."""
-    X, y, nd = _dataset(X, y, noise_diag)
-    return _assemble(X, theta, _evaluate(theta, X, y, nd, False))
+    X, parts = _evaluate(theta, X, y, noise_diag)
+    return GpModel(X, theta, parts.chol_inv, parts.alpha, parts.jitter)
 
 
 def _pack(theta: GpHyperparams, with_noise: bool) -> np.ndarray:
@@ -510,9 +493,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
         and the default is refined
     """
     X, y, nd = _dataset(X, y, noise_diag)
-    n, d = X.shape
-    if n < 1:
-        raise UsageError("fit requires at least one observation")
+    d = X.shape[1]
     with_noise = nd is None
     box = _box(d, with_noise)
     lo, hi = box.lo, box.hi
@@ -538,7 +519,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     def objective(z):
         nonlocal best_z, best
         try:
-            parts = _mll_core(diff2, y, *_natural(z, d, nd), True)
+            parts = _mll_core(diff2, y, *_natural(z, d, nd))
         except NumericalError:
             return failed
         if not math.isfinite(parts.value):
@@ -578,7 +559,10 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
         raise NumericalError(
             "every fit restart failed numerically", diagnostics={"failures": failures}
         )
-    return _assemble(X, _unpack(best_z, d, with_noise), best, FitRecord(scored, tuple(runs)))
+    return GpModel(
+        X, _unpack(best_z, d, with_noise), best.chol_inv, best.alpha, best.jitter,
+        FitRecord(scored, tuple(runs)),
+    )
 
 
 def _queries(model: GpModel, Xq) -> np.ndarray:

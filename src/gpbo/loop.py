@@ -247,11 +247,15 @@ def suggest(experiment: Experiment, total_trials: int = 20) -> Trial:
 
 
 def complete_trial(experiment: Experiment, index: int, observation: Observation) -> Trial:
-    """Store an observation; a non-finite objective fails the trial instead."""
+    """Store an observation; a non-finite objective fails the trial instead.
+
+    Anything that is not an Observation is taken as its objective, so a
+    bare number completes the trial and any other value fails it.
+    """
     trial = _get_trial(experiment, index)
     if trial.status != TrialStatus.RUNNING:
         raise UsageError(f"trial {index} is {trial.status.value}; cannot complete")
-    if isinstance(observation, (int, float)) and not isinstance(observation, bool):
+    if not isinstance(observation, Observation):
         observation = Observation(observation)
     if not observation.is_finite:
         trial.status = TrialStatus.FAILED
@@ -278,10 +282,11 @@ def fail_trial(experiment: Experiment, index: int, kind: str, detail: str = "") 
 def best_result(experiment: Experiment) -> BestResult:
     """Pick the winner among completed trials.
 
-    With a noise-free history (no sem anywhere, or all zero) the best raw
-    observation wins; under noise the completed arm with the best
-    posterior mean under a freshly fitted model wins.  Predictions are
-    reported in raw objective units either way.
+    When every completed trial reports a sem of exactly 0 the best raw
+    observation wins.  Otherwise, under reported or unreported noise, the
+    completed arm with the best posterior mean under a freshly fitted
+    model wins.  Predictions are reported in raw objective units either
+    way.
     """
     completed = experiment.completed()
     if not completed:
@@ -290,8 +295,7 @@ def best_result(experiment: Experiment) -> BestResult:
         experiment, completed, "final", len(experiment.trials)
     )
     summary = posterior(model, model.X)
-    noise_free = all(t.observation.sem in (None, 0, 0.0) for t in completed)
-    if noise_free:
+    if all(t.observation.sem == 0 for t in completed):
         objectives = np.array([t.observation.objective for t in completed])
         best = int(np.argmin(objectives) if experiment.minimize else np.argmax(objectives))
     else:
@@ -320,13 +324,14 @@ def optimize(
     Parameters
     ----------
     space : the feasible set; must validate cleanly
-    evaluate : callable(Arm) -> Observation (a bare float also works)
+    evaluate : callable(Arm) -> Observation (a bare number also works)
     minimize : direction of optimization
     total_trials : evaluation budget; failed trials consume it
     seed : master seed for every stochastic component of the run
 
-    Evaluator exceptions and non-finite objectives become FAILED trials;
-    the loop only errors out if nothing completes at all.
+    Evaluator exceptions, non-finite objectives and returns that are
+    neither an Observation nor a real number become FAILED trials; the
+    loop only errors out if nothing completes at all.
     """
     experiment = new_experiment(space, minimize=minimize, seed=seed)
     for _ in range(total_trials):

@@ -19,6 +19,7 @@ always works on a smooth box.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -117,9 +118,10 @@ class Arm:
 class Observation:
     """One raw objective value, optionally with its standard error.
 
-    A non-finite objective (NaN, or an int beyond the largest float) is
-    constructible on purpose: the loop turns such observations into FAILED
-    trials.  Only completed trials require a finite objective.
+    An objective that is not finite (NaN, an int beyond the largest float,
+    a bool or anything else that is not a real number) is constructible on
+    purpose: the loop turns such observations into FAILED trials.  Only
+    completed trials require a finite objective.
     """
 
     objective: float
@@ -131,7 +133,15 @@ class Observation:
 
     @property
     def is_finite(self) -> bool:
-        return abs(self.objective) <= sys.float_info.max
+        """Whether the objective is a real number, not a bool, within float
+        range.  A numpy scalar is compared as the Python number it holds,
+        since a float32 would cast the float maximum to inf and warn."""
+        value = self.objective
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            return False
+        if isinstance(value, np.generic):
+            value = value.item()
+        return abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)

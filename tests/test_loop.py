@@ -226,6 +226,41 @@ class TestOptimize:
         running = np.minimum.accumulate(objectives)
         assert np.all(np.diff(running) <= 0 + 1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "value, completes",
+        [
+            (np.float32(0.5), True),
+            (np.int64(1), True),
+            (np.float32("inf"), False),
+            (None, False),
+            ("1.0", False),
+            (True, False),
+            (Observation("1.0"), False),
+        ],
+        ids=["float32", "int64", "float32-inf", "none", "str", "bool", "observation-of-str"],
+    )
+    def test_any_evaluator_return_completes_or_fails_its_trial(self, value, completes):
+        # An evaluator's return never aborts the run: a real number that is
+        # not a bool, numpy scalars included, completes its trial (compared
+        # without numpy's overflow warning), and anything else fails it as
+        # a non-finite objective, with the value's repr in the detail.
+        def evaluate(arm):
+            return value if arm.name == "trial_0" else quadratic(arm)
+
+        _, exp = optimize(unit_space(), evaluate, total_trials=6, seed=0)
+        first = exp.trials[0]
+        if completes:
+            assert first.status == TrialStatus.COMPLETED
+            assert first.observation.objective == value
+        else:
+            objective = value.objective if isinstance(value, Observation) else value
+            assert first.status == TrialStatus.FAILED
+            assert first.metadata == {
+                "fault": "non-finite-objective", "detail": f"objective={objective!r}",
+            }
+        assert all(t.status == TrialStatus.COMPLETED for t in exp.trials[1:])
+
     def test_replay_is_bitwise_identical(self):
         _, a = optimize(unit_space(2), lambda arm: Observation(sum(arm.values.values())),
                         total_trials=9, seed=7)
@@ -350,6 +385,47 @@ class TestOptimize:
         assert starts[3] is exp.trials[7].theta
 
 
+def noisy_quadratic_experiment(trials, rng_seed, sem):
+    """``trials`` completed trials of quadratic plus N(0, 0.05^2) noise, at
+    experiment seed 1, each reporting ``sem``."""
+    exp = new_experiment(unit_space(), seed=1)
+    rng = np.random.default_rng(rng_seed)
+    for _ in range(trials):
+        t = suggest(exp)
+        objective = quadratic(t.arm).objective + 0.05 * rng.standard_normal()
+        complete_trial(exp, t.index, Observation(objective, sem=sem))
+    return exp
+
+
+def best_result_and_posterior_pick(monkeypatch, exp):
+    """best_result(exp), and the completed trial (minimizing) with the
+    smallest posterior mean under the model rebuilt at the theta of
+    best_result's one fit: on the standardized history with each sem as
+    fixed noise, or with theta's fitted noise when no sem is reported."""
+    import gpbo.loop
+
+    fitted = []
+    real_fit = gpbo.loop.fit_gp
+
+    def recording_fit(X, y, **kwargs):
+        fitted.append(real_fit(X, y, **kwargs))
+        return fitted[-1]
+
+    monkeypatch.setattr(gpbo.loop, "fit_gp", recording_fit)
+    result = best_result(exp)
+    assert len(fitted) == 1
+    theta = fitted[0].theta
+    completed = exp.completed()
+    X = np.stack([encode(t.arm, exp.space) for t in completed])
+    objectives = [t.observation.objective for t in completed]
+    standardizer = fit_standardizer(objectives)
+    y_std = standardizer.apply(objectives)
+    sems = [t.observation.sem for t in completed]
+    noise = None if None in sems else (np.array(sems) / standardizer.scale) ** 2
+    means = posterior(make_model(X, y_std, theta, noise_diag=noise), X).means
+    return result, completed[int(np.argmin(means))]
+
+
 class TestBestResult:
     def test_single_completed_trial(self):
         exp = new_experiment(unit_space(), seed=0)
@@ -363,7 +439,7 @@ class TestBestResult:
         exp = new_experiment(unit_space(), seed=0)
         for target in (3.0, 1.0):
             t = suggest(exp)
-            complete_trial(exp, t.index, Observation(target))
+            complete_trial(exp, t.index, Observation(target, sem=0.0))
         assert best_result(exp).observed_objective == 1.0
 
     def test_maximize_picks_largest(self):
@@ -376,37 +452,18 @@ class TestBestResult:
     def test_noisy_winner_matches_posterior_mean_scan(self, monkeypatch):
         # Rebuild the final model from the hyperparameters of the last fit
         # and check the winner has the smallest posterior mean.
-        import gpbo.loop
+        exp = noisy_quadratic_experiment(trials=6, rng_seed=0, sem=0.05)
+        result, pick = best_result_and_posterior_pick(monkeypatch, exp)
+        assert result.arm == pick.arm
 
-        fitted = []
-        real_fit = gpbo.loop.fit_gp
-
-        def recording_fit(X, y, **kwargs):
-            fitted.append(real_fit(X, y, **kwargs))
-            return fitted[-1]
-
-        monkeypatch.setattr(gpbo.loop, "fit_gp", recording_fit)
-        exp = new_experiment(unit_space(), seed=1)
-        rng = np.random.default_rng(0)
-        for _ in range(6):
-            t = suggest(exp)
-            complete_trial(
-                exp, t.index,
-                Observation(quadratic(t.arm).objective + 0.05 * rng.standard_normal(), sem=0.05),
-            )
-        fitted.clear()
-        result = best_result(exp)
-        assert len(fitted) == 1
-        theta = fitted[0].theta
-        completed = exp.completed()
-        X = np.stack([encode(t.arm, exp.space) for t in completed])
-        objectives = [t.observation.objective for t in completed]
-        standardizer = fit_standardizer(objectives)
-        y_std = standardizer.apply(objectives)
-        noise = (np.array([t.observation.sem for t in completed]) / standardizer.scale) ** 2
-        model = make_model(X, y_std, theta, noise_diag=noise)
-        means = posterior(model, X).means
-        assert result.arm == completed[int(np.argmin(means))].arm
+    def test_unreported_noise_picks_best_posterior_mean(self, monkeypatch):
+        # With no sem reported the final fit estimates the noise, and the
+        # arm with the smallest posterior mean wins, not the luckiest draw.
+        exp = noisy_quadratic_experiment(trials=8, rng_seed=1, sem=None)
+        result, pick = best_result_and_posterior_pick(monkeypatch, exp)
+        raw_best = min(exp.completed(), key=lambda t: t.observation.objective)
+        assert result.arm == pick.arm != raw_best.arm
+        assert result.observed_objective == pick.observation.objective
 
     def test_no_completed_trials(self):
         exp = new_experiment(unit_space(), seed=0)
