@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import UsageError
 from .gp import GpModel, PosteriorSummary, posterior
 from .scipy_cores import erfcx
 
@@ -117,6 +116,4 @@ def incumbent_value(model: GpModel) -> float:
     Under observation noise this shrinks lucky draws toward the model's
     belief; with zero noise it equals the best observed target.
     """
-    if model.n == 0:
-        raise UsageError("no incumbent exists for an empty model")
     return float(posterior(model, model.X).means.min())

@@ -25,12 +25,13 @@ start, the log marginal likelihood
 using the analytic gradient over log-parameters and a bounded quasi-Newton
 local method (L-BFGS-B: scipy's core, driven by
 :func:`gpbo.lbfgsb.minimize` without scipy's ``minimize`` wrapper).
-When the warm start is in doubt (there is none, or it has a lengthscale or
-the signal variance on a bound), ``FIT_RESTARTS - 1`` Sobol starts join
-those two and every start is refined.  Otherwise the default and the warm
-start are scored once each, and only the one with the larger mll is
-refined.  The fit keeps the best hyperparameters, factor and alpha that any
-evaluation reached, so nothing is re-scored after the runs.
+The fit is one loop over its starts: the default theta, the warm start and,
+when the warm start is in doubt (there is none, or it has a lengthscale or
+the signal variance on a bound), ``FIT_RESTARTS - 1`` Sobol starts.  Each
+start is scored once, then every scored start is refined from its score,
+except that a trusted warm start refines only the larger-mll of the default
+and itself.  The fit keeps the best hyperparameters, factor and alpha that
+any evaluation reached, so nothing is re-scored after the runs.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NumericalError, NumericsWarning, SpaceError, UsageError
+from .errors import DomainError, NumericalError, NumericsWarning, SpaceError, UsageError
 from .lbfgsb import LbfgsbResult, minimize
 from .scipy_cores import dpotrf, dpotrs, dtrtri
 from .sobol import MAX_DIMENSION, SobolEngine
@@ -56,8 +57,8 @@ NOISE_VARIANCE_BOUNDS = (1e-8, 1.0)
 MEAN_BOUNDS = (-2.0, 2.0)
 
 # Cold starts of a fit whose warm start is in doubt, all refined: the
-# default hyperparameters first, then FIT_RESTARTS - 1 Sobol points.  A
-# trusted warm start instead makes one run, from it or the default (see fit).
+# default hyperparameters, then FIT_RESTARTS - 1 Sobol points after the warm
+# start.  A trusted warm start instead makes one run, from it or the default.
 FIT_RESTARTS = 3
 
 # Relative jitter ladder; scaled by the mean diagonal of K when factorizing.
@@ -123,7 +124,8 @@ def default_hyperparams(d: int) -> GpHyperparams:
 class FitRecord(NamedTuple):
     """The work of one :func:`fit`: ``runs`` holds each L-BFGS-B run's
     result, in start order, and ``scored`` counts the mll evaluations made
-    outside them (the losing start's score when one run is made, else 0)."""
+    outside them: the starts scored but not refined (the losing start's
+    score when one run is made, else 0)."""
 
     scored: int
     runs: tuple[LbfgsbResult, ...]
@@ -312,8 +314,8 @@ def _mll_core(diff2, y, lengthscales, s2, noise, m) -> _MllParts:
 
 
 def _dataset(X, y, noise_diag):
-    """The history as float arrays X (N, d), y (N,) and noise_diag (N,) or
-    None, with N >= 1."""
+    """The history as finite float arrays X (N, d), y (N,) and noise_diag
+    (N,), nonnegative, or None, with N >= 1."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float)
     n = X.shape[0]
@@ -321,11 +323,16 @@ def _dataset(X, y, noise_diag):
         raise SpaceError(f"y must have shape ({n},), one entry per row of X, got {y.shape}")
     if n < 1:
         raise UsageError("a GP needs at least one observation")
+    for name, array in (("X", X), ("y", y)):
+        if not np.all(np.isfinite(array)):
+            raise DomainError(f"{name} must be finite")
     if noise_diag is None:
         return X, y, None
     nd = np.asarray(noise_diag, dtype=float)
     if nd.shape != (n,):
         raise SpaceError(f"noise_diag must have shape ({n},), got {nd.shape}")
+    if not np.all(np.isfinite(nd) & (nd >= 0)):
+        raise DomainError("noise_diag must be finite and >= 0")
     return X, y, nd
 
 
@@ -396,23 +403,11 @@ def _unpack(z: np.ndarray, d: int, with_noise: bool) -> GpHyperparams:
     return GpHyperparams(KernelSpec(MATERN52, ls, s2), MeanSpec(m), noise)
 
 
-class _Box(NamedTuple):
-    """The box L-BFGS-B searches for one (d, noise mode), packed like any
-    theta, with the default start clipped into it.  ``edges`` and ``tol``
-    are what :func:`_on_edge` compares with."""
-
-    lo: np.ndarray
-    hi: np.ndarray
-    bounds: np.ndarray
-    default: np.ndarray
-    edges: np.ndarray
-    tol: np.ndarray
-
-
 @lru_cache(maxsize=None)
-def _box(d: int, with_noise: bool) -> _Box:
-    """The fit's box and default start, packed once per (d, noise mode)
-    and read-only."""
+def _box(d: int, with_noise: bool):
+    """The fit's box for one (d, noise mode), packed like any theta:
+    (lo, hi, the (lo, hi) pairs L-BFGS-B takes, the default start clipped
+    into the box), built once and read-only."""
     lo, hi = (
         _pack(GpHyperparams(KernelSpec(MATERN52, np.full(d, ls), s2), MeanSpec(m), v), with_noise)
         for ls, s2, v, m in zip(
@@ -420,58 +415,44 @@ def _box(d: int, with_noise: bool) -> _Box:
         )
     )
     default = np.clip(_pack(default_hyperparams(d), with_noise), lo, hi)
-    edges = np.concatenate([lo[: d + 1], hi[: d + 1]])
-    box = _Box(lo, hi, np.column_stack([lo, hi]), default, edges,
-               1e-9 * np.maximum(1.0, np.abs(edges)))
+    box = lo, hi, np.column_stack([lo, hi]), default
     for array in box:
         array.setflags(write=False)
     return box
 
 
-def _on_edge(z: np.ndarray, box: _Box, d: int) -> bool:
+def _on_edge(z: np.ndarray, lo: np.ndarray, hi: np.ndarray, d: int) -> bool:
     """Whether a log-lengthscale or the log signal variance of z lies on an
-    edge of the box, within 1e-9 relative.  The mean on its bound and the
-    noise on its floor do not count."""
-    return bool(np.any(np.abs(np.tile(z[: d + 1], 2) - box.edges) <= box.tol))
-
-
-def _start_points(lo, hi, seed: int, given: list, cold: int) -> list[np.ndarray]:
-    """The given starts, then ``cold`` Sobol points over the box [lo, hi],
-    or uniform draws from ``default_rng(seed)`` past Sobol's dimensions."""
-    if cold == 0:
-        return list(given)
-    k = len(lo)
-    if k <= MAX_DIMENSION:
-        u = SobolEngine(k).fast_forward(seed % 4096).next(cold)
-    else:
-        u = np.random.default_rng(seed).random((cold, k))
-    return list(given) + [lo + row * (hi - lo) for row in u]
+    edge of the box [lo, hi], within 1e-9 relative.  The mean on its bound
+    and the noise on its floor do not count."""
+    edges = np.stack([lo[: d + 1], hi[: d + 1]])
+    return bool(np.any(np.abs(z[: d + 1] - edges) <= 1e-9 * np.maximum(1.0, np.abs(edges))))
 
 
 def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None) -> GpModel:
     """Fit hyperparameters by maximum marginal likelihood from a few starts.
 
-    A refined start runs bounded L-BFGS-B (:func:`gpbo.lbfgsb.minimize`,
-    which takes scipy's steps bit for bit; max 200 iterations, projected
-    gradient tolerance 1e-6, relative-reduction tolerance ``ftol`` 1e-7
-    against scipy's default of about 2.2e-9) on the negative mll over
+    The starts are the default hyperparameters, then a warm ``start``
+    (typically the previous fit's theta on a history one observation
+    shorter) clipped into the bounds, then, when the warm start is in
+    doubt, ``FIT_RESTARTS - 1`` Sobol points over the box.  The warm start
+    is in doubt when no ``start`` is given, or when the clipped start has a
+    lengthscale or the signal variance on a bound (within 1e-9 relative in
+    log space); a mean on its bound or a noise variance on its floor is no
+    doubt.  Every start is scored once, so the fitted mll is never worse
+    than any start's.  Then every scored start is refined, except that a
+    trusted warm start refines only the larger-mll of the default and the
+    warm start, the default on a tie; a run takes its start's score as its
+    first evaluation, so no point is evaluated twice.
+
+    A run is bounded L-BFGS-B (:func:`gpbo.lbfgsb.minimize`, which takes
+    scipy's steps bit for bit; max 200 iterations, projected gradient
+    tolerance 1e-6, relative-reduction tolerance ``ftol`` 1e-7 against
+    scipy's default of about 2.2e-9) on the negative mll over
     log-parameters.  The objective keeps the best point it has evaluated,
     with its factor and alpha, so the largest mll any evaluation reached
-    wins, ties going to the earliest; nothing is re-scored afterwards.  The
-    default hyperparameters are always start 0 and a warm ``start``
-    (typically the previous fit's theta on a history one observation
-    shorter), clipped into the bounds, is start 1.  Both are evaluated, so
-    the fitted mll is never worse than either's.
-
-    The warm start is in doubt when no ``start`` is given, or when the
-    clipped start has a lengthscale or the signal variance on a bound
-    (within 1e-9 relative in log space); a mean on its bound or a noise
-    variance on its floor is no doubt.  Then ``FIT_RESTARTS - 1`` Sobol
-    starts follow, and every start is refined.  Otherwise the default and
-    the warm start are scored once each and only the one with the larger
-    mll is refined, the default on a tie; its score is the run's first
-    evaluation, so no point is evaluated twice.  The returned model keeps
-    the factorization computed at the winning hyperparameters, which
+    wins; nothing is re-scored afterwards.  The returned model keeps the
+    factorization computed at the winning hyperparameters, which
     ``make_model(X, y, model.theta, noise_diag)`` reproduces bitwise, and
     the fit's work as ``model.fit_record``.
 
@@ -495,10 +476,8 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
     X, y, nd = _dataset(X, y, noise_diag)
     d = X.shape[1]
     with_noise = nd is None
-    box = _box(d, with_noise)
-    lo, hi = box.lo, box.hi
-    given = [box.default]
-    cold = FIT_RESTARTS - 1
+    lo, hi, bounds, default = _box(d, with_noise)
+    starts = [default]
     if start is not None:
         if start.kernel.lengthscales.shape != (d,):
             raise SpaceError(
@@ -509,9 +488,15 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             start = GpHyperparams(
                 start.kernel, start.mean, default_hyperparams(d).noise_variance
             )
-        given.append(np.clip(_pack(start, with_noise), lo, hi))
-        if not _on_edge(given[-1], box, d):
-            cold = 0
+        starts.append(np.clip(_pack(start, with_noise), lo, hi))
+    trusted = len(starts) == 2 and not _on_edge(starts[1], lo, hi, d)
+    if not trusted:
+        cold, k = FIT_RESTARTS - 1, len(lo)
+        if k <= MAX_DIMENSION:
+            u = SobolEngine(k).fast_forward(seed % 4096).next(cold)
+        else:
+            u = np.random.default_rng(seed).random((cold, k))
+        starts += list(lo + u * (hi - lo))
     diff2 = _sq_diffs(X)
     failed = (1e25, np.zeros(len(lo)))
     best_z, best = None, None
@@ -524,33 +509,29 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
             return failed
         if not math.isfinite(parts.value):
             return failed
-        # Every start is evaluated (scored, or first in its run) before any
-        # step, so keeping the largest mll makes the fit never worse than
-        # any start.
+        # Every start is scored before any step, so keeping the largest mll
+        # makes the fit never worse than any start.
         if best is None or parts.value > best.value:
             best_z, best = np.array(z), parts
         return -parts.value, -parts.grad
 
-    failures, runs, scored = [], [], 0
-    starts, scores = _start_points(lo, hi, seed, given, cold), []
-    if cold == 0:
-        # A trusted warm start: score it and the default, and refine only
-        # the larger mll (a tie goes to the default).  Its score is the
-        # run's first evaluation, so no point is evaluated twice.
-        try:
-            scores = [objective(z) for z in given]
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            failures.append(f"scoring: {exc}")
-            starts = []
-        else:
-            pick = int(scores[1][0] < scores[0][0])
-            starts, scores, scored = [given[pick]], [scores[pick]], 1
+    failures, scored = [], []
     for idx, z0 in enumerate(starts):
         try:
+            scored.append((idx, z0, objective(z0)))
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            failures.append(f"start {idx}: {exc}")
+    # A trusted warm start refines the larger mll only (the smaller -mll,
+    # the default on a tie: the sort is stable).
+    refined = sorted(scored, key=lambda s: s[2][0])[:1] if trusted else scored
+    runs = []
+    for idx, z0, score in refined:
+        first = [score]
+        try:
             runs.append(minimize(
-                lambda z: scores.pop() if scores else objective(z),
+                lambda z: first.pop() if first else objective(z),
                 z0,
-                bounds=box.bounds,
+                bounds=bounds,
                 options={"maxiter": 200, "gtol": 1e-6, "ftol": 1e-7},
             ))
         except (np.linalg.LinAlgError, ValueError) as exc:
@@ -561,7 +542,7 @@ def fit(X, y, seed: int = 0, noise_diag=None, start: GpHyperparams | None = None
         )
     return GpModel(
         X, _unpack(best_z, d, with_noise), best.chol_inv, best.alpha, best.jitter,
-        FitRecord(scored, tuple(runs)),
+        FitRecord(len(scored) - len(refined), tuple(runs)),
     )
 
 

@@ -322,15 +322,30 @@ def decode(u: np.ndarray, space: SearchSpace, name: str = "arm") -> Arm:
     return Arm(name, values)
 
 
+def _exponent(magnitude: float) -> int:
+    """The least e >= 0 with magnitude < 2**e: dividing by 2**e brings
+    values up to ``magnitude`` into (-1, 1), exactly."""
+    return max(math.frexp(magnitude)[1], 0)
+
+
 @dataclass(frozen=True)
 class Standardizer:
-    """Affine output transform: ``apply(y) = (y - mean) / scale``."""
+    """Affine output transform: ``apply(y) = (y - mean) / scale``.
+
+    Standardization is finite for any finite sample.  The fit and
+    :meth:`apply` work on values divided by a power of two (:func:`_exponent`
+    of the sample's largest magnitude, and of the mean's and scale's), so
+    neither a squared deviation nor ``y - mean`` can overflow.  Dividing by
+    a power of two is exact, so an ordinary sample keeps its bits.
+    """
 
     mean: float
     scale: float
 
     def apply(self, y):
-        return (np.asarray(y, dtype=float) - self.mean) / self.scale
+        e = -_exponent(max(abs(self.mean), self.scale))
+        shifted = np.ldexp(np.asarray(y, dtype=float), e) - math.ldexp(self.mean, e)
+        return shifted / math.ldexp(self.scale, e)
 
     def invert(self, z):
         return np.asarray(z, dtype=float) * self.scale + self.mean
@@ -348,8 +363,10 @@ def fit_standardizer(ys) -> Standardizer:
         raise UsageError("cannot fit a standardizer on an empty sample")
     if not np.all(np.isfinite(ys)):
         raise DomainError("standardizer input must be finite")
-    mean = float(np.mean(ys))
-    scale = float(np.std(ys))
+    e = _exponent(np.abs(ys).max())
+    scaled = np.ldexp(ys, -e)
+    mean = math.ldexp(float(np.mean(scaled)), e)
+    scale = math.ldexp(float(np.std(scaled)), e)
     if scale < 1e-12:
         scale = 1.0
     return Standardizer(mean=mean, scale=scale)

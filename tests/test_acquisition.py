@@ -11,11 +11,10 @@ from gpbo import (
     GpHyperparams,
     KernelSpec,
     MeanSpec,
-    UsageError,
     ei,
     incumbent_value,
 )
-from gpbo.gp import GpModel, PosteriorSummary, make_model
+from gpbo.gp import PosteriorSummary, make_model
 
 from gpbo.acquisition import _CAP, _pdf, log_ei
 
@@ -240,12 +239,3 @@ class TestIncumbent:
         model = make_model(X, rng.standard_normal(9), theta)
         brute = min(posterior(model, X[i : i + 1]).means[0] for i in range(9))
         assert incumbent_value(model) == pytest.approx(brute, rel=1e-12)
-
-    def test_empty_model_has_no_incumbent(self):
-        # make_model rejects an empty history, so the model is built by hand.
-        from gpbo import default_hyperparams
-
-        model = GpModel(X=np.empty((0, 1)), theta=default_hyperparams(1),
-                        chol_inv=np.empty((0, 0)), alpha=np.empty(0), jitter_used=0.0)
-        with pytest.raises(UsageError, match="empty model"):
-            incumbent_value(model)

@@ -17,7 +17,7 @@ from gpbo import (
     mll,
     posterior,
 )
-from gpbo.errors import NumericalError, SpaceError
+from gpbo.errors import DomainError, NumericalError, SpaceError
 from gpbo.gp import (
     FIT_RESTARTS,
     LENGTHSCALE_BOUNDS,
@@ -205,10 +205,10 @@ class TestFactorize:
 every_entry = pytest.mark.parametrize(
     "entry",
     [
-        lambda X, y: fit(X, y, seed=0),
-        lambda X, y: mll(default_hyperparams(2), X, y),
-        lambda X, y: mll_grad(default_hyperparams(2), X, y),
-        lambda X, y: make_model(X, y, default_hyperparams(2)),
+        lambda X, y, nd=None: fit(X, y, seed=0, noise_diag=nd),
+        lambda X, y, nd=None: mll(default_hyperparams(2), X, y, nd),
+        lambda X, y, nd=None: mll_grad(default_hyperparams(2), X, y, nd),
+        lambda X, y, nd=None: make_model(X, y, default_hyperparams(2), nd),
     ],
     ids=["fit", "mll", "mll_grad", "make_model"],
 )
@@ -225,6 +225,26 @@ def test_targets_must_match_the_rows_of_x(entry):
 def test_empty_history_rejected(entry):
     with pytest.raises(UsageError, match="at least one observation"):
         entry(np.empty((0, 2)), np.empty(0))
+
+
+@every_entry
+@pytest.mark.parametrize(
+    "bad, message",
+    [("X", "X must be finite"), ("y", "y must be finite"),
+     ("noise_nan", "noise_diag must be finite and >= 0"),
+     ("noise_negative", "noise_diag must be finite and >= 0")],
+    ids=["nan-in-X", "inf-in-y", "nan-noise", "negative-noise"],
+)
+def test_non_finite_history_rejected(entry, bad, message):
+    X, y, nd = np.random.default_rng(0).random((6, 2)), np.zeros(6), np.full(6, 0.01)
+    if bad == "X":
+        X[2, 1] = math.nan
+    elif bad == "y":
+        y[4] = math.inf
+    else:
+        nd[0] = math.nan if bad == "noise_nan" else -1e-3
+    with pytest.raises(DomainError, match=message):
+        entry(X, y, nd)
 
 
 @pytest.mark.parametrize("n, duplicates", [(1, False), (5, False), (60, False), (6, True)])

@@ -1,13 +1,14 @@
 """Search-space transforms: validation, unit-cube encoding, standardization."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gpbo import Observation, ParameterSpec, SearchSpace, UsageError
+from gpbo import Observation, ParameterSpec, SearchSpace, UsageError, optimize
 from gpbo.errors import DomainError, SpaceError
 from gpbo.space import Arm, decode, encode, fit_standardizer, validate_space
 
@@ -271,6 +272,25 @@ class TestStandardizer:
     def test_non_finite_input(self):
         with pytest.raises(DomainError):
             fit_standardizer([1.0, math.nan])
+
+    def test_finite_for_any_finite_sample(self):
+        # Squaring a deviation above about 1.3e154, or subtracting the mean
+        # from a value near the float maximum, would overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for ys in ([1e200, 0.0], [1.7e308, -1.7e308, -1.7e308]):
+                s = fit_standardizer(ys)
+                assert math.isfinite(s.mean) and math.isfinite(s.scale)
+                z = s.apply(ys)
+                assert np.all(np.isfinite(z))
+                np.testing.assert_allclose(np.mean(z), 0.0, atol=1e-12)
+                np.testing.assert_allclose(np.std(z), 1.0)
+            best, _ = optimize(
+                SearchSpace([ParameterSpec.range_float("x", 0.0, 1.0)]),
+                lambda arm: 1e200 if arm.values["x"] > 0.6 else (arm.values["x"] - 0.3) ** 2,
+                total_trials=10, seed=0,
+            )
+        assert math.isfinite(best.predicted_mean) and math.isfinite(best.predicted_sd)
 
 
 class TestObservation:

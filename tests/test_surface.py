@@ -57,7 +57,7 @@ MODULE_ONLY = {
                    "validate_space"],
 }
 
-SCRIPTS = ["layer_bench.py", "paired_regret.py", "refine_replay.py"]
+SCRIPTS = ["layer_bench.py", "paired_regret.py", "refine_replay.py", "trial_digests.py"]
 
 
 def test_exports_are_exactly_the_documented_surface():
